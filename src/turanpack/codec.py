@@ -9,6 +9,8 @@ bytes, truncated or trailing data, and nonzero padding bits are errors.
 
 from __future__ import annotations
 
+import binascii
+
 from .errors import PreconditionError
 from .graphs import Graph, from_edge_list_text
 
@@ -46,33 +48,42 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return n, 8
 
 
+# The body packs the bit stream six bits per byte, most significant bit
+# first, which is base64 with the alphabet chr(63)..chr(126).
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6, _BASE64)
+
+
 def to_graph6(g: Graph) -> str:
-    out = bytearray(_encode_size(g.n))
-    acc = 0
-    width = 0
-    for col in range(1, g.n):
-        column = g.adj[col]
-        for row in range(col):
-            acc = (acc << 1) | (column >> row & 1)
-            width += 1
-            if width == 6:
-                out.append(acc + 63)
-                acc = 0
-                width = 0
-    if width:
-        out.append((acc << (6 - width)) + 63)
-    return out.decode("ascii")
+    # Column col of the upper triangle lists rows 0..col-1; the binary form
+    # of row col's lower bits lists the same entries from row col-1 down,
+    # so the columns written last to first spell the stream backwards. The
+    # sentinel bit col keeps leading zeros; [3:] drops it with the "0b".
+    adj = g.adj
+    backwards = "".join([bin(adj[col] & ((1 << col) - 1) | 1 << col)[3:]
+                         for col in range(g.n - 1, 0, -1)])
+    nbits = len(backwards)
+    stream = backwards[::-1] + "0" * (-nbits % 24)
+    packed = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False)[:(nbits + 5) // 6]
+    return (_encode_size(g.n) + body.translate(_TO_GRAPH6)).decode("ascii")
 
 
 def from_graph6(data: bytes | str) -> Graph:
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise PreconditionError(
+                f"malformed graph6 byte {ord(data[exc.start])}") from None
     data = data.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER):]
-    for byte in data:
-        if not 63 <= byte <= 126:
-            raise PreconditionError(f"malformed graph6 byte {byte}")
+    if data and (min(data) < 63 or max(data) > 126):
+        bad = next(byte for byte in data if not 63 <= byte <= 126)
+        raise PreconditionError(f"malformed graph6 byte {bad}")
     n, consumed = _decode_size(data)
     if n < 0 or n > _MAX_N:
         raise PreconditionError("malformed graph6 size header")
@@ -83,24 +94,25 @@ def from_graph6(data: bytes | str) -> Graph:
         raise PreconditionError("truncated graph6 body")
     if len(body) > expected:
         raise PreconditionError("trailing bytes after graph6 body")
+    packed = binascii.a2b_base64(body.translate(_FROM_GRAPH6) + b"A" * (-len(body) % 4))
+    stream = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
+    if "1" in stream[nbits:]:
+        raise PreconditionError("nonzero padding bits in graph6 body")
+    # Read backwards, column col is the binary form of row col's lower bits.
+    backwards = stream[:nbits][::-1]
     adj = [0] * n
-    stream = _bit_stream(body)
+    end = nbits
     for col in range(1, n):
-        for row in range(col):
-            if next(stream):
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-    for leftover in stream:
-        if leftover:
-            raise PreconditionError("nonzero padding bits in graph6 body")
+        lower = int(backwards[end - col:end], 2)
+        end -= col
+        if lower:
+            adj[col] |= lower
+            bit = 1 << col
+            while lower:
+                low = lower & -lower
+                adj[low.bit_length() - 1] |= bit
+                lower ^= low
     return Graph(n, adj)
-
-
-def _bit_stream(body: bytes):
-    for byte in body:
-        chunk = byte - 63
-        for bit in range(5, -1, -1):
-            yield chunk >> bit & 1
 
 
 def parse_graph_text(text: str) -> Graph:

@@ -77,12 +77,16 @@ class Graph:
             if row >> v & 1:
                 raise PreconditionError(f"self loop at vertex {v}")
         for v, row in enumerate(adj):
-            for u in bits(row):
-                if not adj[u] >> v & 1:
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise PreconditionError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_edges", sum(row.bit_count() for row in adj) // 2)
+        object.__setattr__(self, "_edges", sum(map(int.bit_count, adj)) // 2)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Graph is immutable")
@@ -99,7 +103,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.adj), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -111,15 +115,23 @@ class Graph:
         return (1 << self.n) - 1
 
     def is_independent(self, mask: int) -> bool:
-        for v in bits(mask):
-            if self.adj[v] & mask:
+        adj = self.adj
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask:
                 return False
+            rest ^= low
         return True
 
     def is_clique(self, mask: int) -> bool:
-        for v in bits(mask):
-            if (self.adj[v] & mask) != mask ^ (1 << v):
+        adj = self.adj
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask != mask ^ low:
                 return False
+            rest ^= low
         return True
 
     def __eq__(self, other) -> bool:
@@ -242,6 +254,25 @@ def components(g: Graph) -> list[int]:
         out.append(comp)
         rem &= ~comp
     return out
+
+
+def is_clique_union(g: Graph) -> bool:
+    """Whether every component induces a complete graph.
+
+    Equivalent to `clique_component_sizes(g) is not None`, but exits at the
+    first edge uv with N[u] != N[v]: within a connected component, equal
+    closed neighborhoods along every edge force one common closed
+    neighborhood, which then contains the whole component."""
+    adj = g.adj
+    for v in range(g.n):
+        closed = adj[v] | 1 << v
+        later = adj[v] >> (v + 1) << (v + 1)
+        while later:
+            low = later & -later
+            if adj[low.bit_length() - 1] | low != closed:
+                return False
+            later ^= low
+    return True
 
 
 def clique_component_sizes(g: Graph) -> list[int] | None:

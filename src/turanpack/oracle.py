@@ -8,9 +8,8 @@ Both exist to check the fast paths, not to be fast themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
-
-import numpy as np
 
 from .errors import PreconditionError, SizeGuardError
 from .graphs import Graph, VertexSet, from_edge_list
@@ -19,8 +18,14 @@ from .packing import PackingWitness
 DEFAULT_ORACLE_GUARD = 7
 _CHUNK = 1 << 22
 
-_POPCOUNT16 = np.array([bin(x).count("1") for x in range(1 << 16)],
-                       dtype=np.uint8)
+
+@functools.cache
+def _popcount16():
+    """Bit counts of every 16-bit value, built on first use so that importing
+    the package does not load numpy."""
+    import numpy as np
+
+    return np.array([bin(x).count("1") for x in range(1 << 16)], dtype=np.uint8)
 
 
 def _edge_index(n: int) -> dict[tuple[int, int], int]:
@@ -108,6 +113,9 @@ def exhaustive_ex_sizes(n: int, sizes: tuple[int, ...],
     if not placements:
         # Pattern cannot be placed at all; every graph avoids it.
         return num_edges, _graph_of_mask(n, (1 << num_edges) - 1)
+    import numpy as np
+
+    popcount16 = _popcount16()
     best = -1
     best_mask = 0
     placements_np = np.array(placements, dtype=np.uint64)
@@ -120,8 +128,8 @@ def exhaustive_ex_sizes(n: int, sizes: tuple[int, ...],
         good = ~bad
         if not good.any():
             continue
-        counts = _POPCOUNT16[masks & np.uint64(0xFFFF)].astype(np.int16)
-        counts = counts + _POPCOUNT16[(masks >> np.uint64(16)) & np.uint64(0xFFFF)]
+        counts = popcount16[masks & np.uint64(0xFFFF)].astype(np.int16)
+        counts = counts + popcount16[(masks >> np.uint64(16)) & np.uint64(0xFFFF)]
         counts = np.where(good, counts, -1)
         at = int(np.argmax(counts))
         if int(counts[at]) > best:

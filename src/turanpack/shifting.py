@@ -13,9 +13,10 @@ moves stir stuck states; an exact packing search settles whatever is left.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, SoundnessAlarm
-from .graphs import Graph, VertexSet, bits, components
+from .graphs import Graph, VertexSet, bits, components, is_clique_union
 from .packing import (PackingWitness, VerificationReport,
                       find_disjoint_independent_sets, verify_witness)
 
@@ -127,7 +128,8 @@ class EngineTrace:
 # -- construction of the initial partition ------------------------------------
 
 
-def _greedy_fill(g: Graph, order: list[int], sizes: tuple[int, ...]) -> list[int] | None:
+def _greedy_fill(g: Graph, order: Iterable[int],
+                 sizes: tuple[int, ...]) -> list[int] | None:
     used = 0
     masks = []
     for size in sizes:
@@ -156,13 +158,14 @@ def init_partition(g: Graph, p: int) -> PartitionState | None:
         raise PreconditionError(
             f"init_partition needs p >= 3 and n = 4p-1+s with 1 <= s <= 3p-1 "
             f"(n={g.n}, p={p})")
-    for order in (list(range(g.n)),
-                  sorted(range(g.n), key=lambda v: (g.degree(v), v))):
-        masks = _greedy_fill(g, order, (p, p, p, p - 1))
-        if masks is not None:
-            leftover = g.full_mask() & ~(masks[0] | masks[1] | masks[2] | masks[3])
-            return PartitionState(g, p, (leftover, *masks))
-    return None
+    sizes = (p, p, p, p - 1)
+    masks = _greedy_fill(g, range(g.n), sizes)
+    if masks is None:
+        masks = _greedy_fill(g, sorted(range(g.n), key=lambda v: (g.degree(v), v)), sizes)
+        if masks is None:
+            return None
+    leftover = g.full_mask() & ~(masks[0] | masks[1] | masks[2] | masks[3])
+    return PartitionState(g, p, (leftover, *masks))
 
 
 # -- aux digraph ---------------------------------------------------------------
@@ -173,17 +176,29 @@ def build_aux_digraph(st: PartitionState) -> AuxDigraph:
     dest = st.destination
     if dest is None:
         raise PreconditionError("witness state has no destination class")
+    adj = g.adj
+    classes = st.classes
+    # A vertex has no neighbor in class j exactly when it lies outside the
+    # neighborhood of class j (adjacency is symmetric), so one union per
+    # class settles every arc into it.
+    outside = [0] * CLASS_COUNT
+    for j in range(1, CLASS_COUNT):
+        reach = 0
+        rest = classes[j]
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
+        outside[j] = ~reach
     arcs: dict[tuple[int, int], int] = {}
     # Arcs never target class 0: vertices shift between independent classes
     # only, while class 0 serves as a source.
     for i in range(CLASS_COUNT):
         for j in range(1, CLASS_COUNT):
-            if i == j:
-                continue
-            for v in bits(st.classes[i]):
-                if g.adj[v] & st.classes[j] == 0:
-                    arcs[(i, j)] = v
-                    break
+            if i != j:
+                free = classes[i] & outside[j]
+                if free:
+                    arcs[(i, j)] = (free & -free).bit_length() - 1
     accessible = {dest}
     frontier = [dest]
     while frontier:
@@ -284,11 +299,17 @@ def propose_moves(st: PartitionState, aux: AuxDigraph,
                   last_swap: tuple[int, int] | None = None) -> list[Move]:
     """Candidate moves in priority order. The first three kinds produce a
     witness immediately; the last two stir a stuck state."""
+    return list(iter_moves(st, aux, last_swap))
+
+
+def iter_moves(st: PartitionState, aux: AuxDigraph,
+               last_swap: tuple[int, int] | None = None) -> Iterator[Move]:
+    """The moves of `propose_moves`, in the same order, built one at a time
+    so the engine pays only for the move it takes."""
     g = st.graph
-    moves: list[Move] = []
     if 0 in aux.accessible:
         path, movers = accessible_path(aux, 0)
-        moves.append(Move("path-shift", path=path, movers=movers))
+        yield Move("path-shift", path=path, movers=movers)
     class0 = st.classes[0]
     # Two nonadjacent leftover vertices sharing a solo neighbor in an
     # accessible class: swap them in after routing the shared neighbor away.
@@ -305,8 +326,8 @@ def propose_moves(st: PartitionState, aux: AuxDigraph,
             if pair is None:
                 continue
             path, movers = accessible_path(aux, j)
-            moves.append(Move("double-solo", path=path, movers=movers,
-                              leftovers=pair, solo=v, target_class=j))
+            yield Move("double-solo", path=path, movers=movers,
+                       leftovers=pair, solo=v, target_class=j)
             break
     # One leftover vertex whose solo neighbor can move straight to the
     # destination: re-root in a single compound move.
@@ -317,8 +338,8 @@ def propose_moves(st: PartitionState, aux: AuxDigraph,
         for x in bits(class0):
             v = solo_neighbor(st, x, j)
             if v is not None and g.adj[v] & dest_mask == 0:
-                moves.append(Move("solo-reroot", leftovers=(x,), solo=v,
-                                  target_class=j))
+                yield Move("solo-reroot", leftovers=(x,), solo=v,
+                           target_class=j)
                 break
         else:
             continue
@@ -329,21 +350,16 @@ def propose_moves(st: PartitionState, aux: AuxDigraph,
         if j != aux.destination and (j, aux.destination) in aux.arcs:
             mover = aux.arcs[(j, aux.destination)]
             if last_swap != (mover, j):
-                moves.append(Move("re-root", path=(j, aux.destination),
-                                  movers=(mover,), target_class=j))
+                yield Move("re-root", path=(j, aux.destination),
+                           movers=(mover,), target_class=j)
                 break
     for j in sorted(aux.accessible - {0, aux.destination}):
-        done = False
         for x in bits(class0):
             v = solo_neighbor(st, x, j)
             if v is not None and last_swap != (x, j):
-                moves.append(Move("solo-swap", leftovers=(x,), solo=v,
-                                  target_class=j))
-                done = True
-                break
-        if done:
-            break
-    return moves
+                yield Move("solo-swap", leftovers=(x,), solo=v,
+                           target_class=j)
+                return
 
 
 def _apply_witness_move(st: PartitionState, move: Move) -> PartitionState:
@@ -508,9 +524,7 @@ def resolve(g: Graph, p: int, budget: int | None = None,
         budget = 10 * g.n
 
     witness = None
-    all_cliques = all(
-        g.is_clique(comp) for comp in components(g))
-    if not all_cliques:
+    if not is_clique_union(g):
         witness = _heuristic_phase(g, p, budget, trace)
     if witness is None:
         witness = find_disjoint_independent_sets(g, 4, p, guard_n=guard_n)
@@ -542,10 +556,9 @@ def _heuristic_phase(g: Graph, p: int, budget: int,
         aux = build_aux_digraph(st)
         if trace is not None:
             trace.inaccessible_sizes.append(len(aux.inaccessible))
-        moves = propose_moves(st, aux, last_swap)
-        if not moves:
+        move = next(iter_moves(st, aux, last_swap), None)
+        if move is None:
             return None
-        move = moves[0]
         if trace is not None:
             trace.moves.append(move.kind)
         if move.kind in ("path-shift", "double-solo", "solo-reroot"):

@@ -3,8 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from turanpack import to_edge_list_text, union_of_cliques
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 C5_TEXT = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
 K33_TEXT = "6\n" + "".join(f"{u} {v}\n" for u in range(3) for v in range(3, 6))
@@ -310,3 +316,14 @@ def test_malformed_graph_input(run_cli):
     assert code == 2
     code, _ = run_cli(["resolve", "p=3", "--input", "/nonexistent/path"])
     assert code == 2
+
+
+def test_cli_import_loads_neither_numpy_nor_networkx():
+    # numpy serves only the oracle scan and networkx only a coloring
+    # fallback; every other command should not pay for importing them.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    check = ("import turanpack.cli, sys; "
+             "assert 'numpy' not in sys.modules and 'networkx' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", check], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

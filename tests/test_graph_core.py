@@ -4,6 +4,8 @@ networkx serves as the independent cross-check for the graph6 encoder:
 values frozen here were confirmed against its output.
 """
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,7 @@ from turanpack import (Graph, PreconditionError, VertexSet, complement,
                        cross_edge_count, disjoint_union, empty_graph,
                        from_edge_list, from_edge_list_text, from_graph6,
                        induced_subgraph, join, to_edge_list_text, to_graph6)
-from turanpack.codec import parse_graph_text
+from turanpack.codec import _decode_size, _encode_size, parse_graph_text
 from turanpack.graphs import bits, mask_of
 
 
@@ -137,12 +139,104 @@ def test_graph6_goldens():
 def test_graph6_rejects_malformed():
     with pytest.raises(PreconditionError):
         from_graph6("B\x1f")
+    with pytest.raises(PreconditionError, match="malformed graph6 byte 233"):
+        from_graph6("B\u00e9")  # not silently read as '?', an all-zero chunk
     with pytest.raises(PreconditionError):
         from_graph6("D")  # truncated body
     with pytest.raises(PreconditionError):
         from_graph6("Bww")  # trailing bytes
     with pytest.raises(PreconditionError):
         from_graph6("B~")  # nonzero padding bits
+
+
+# Bit-by-bit reference codec: the straightforward reading of the graph6
+# layout, one upper-triangle entry at a time in column-major order.
+
+
+def reference_to_graph6(g):
+    out = bytearray(_encode_size(g.n))
+    acc = 0
+    width = 0
+    for col in range(1, g.n):
+        for row in range(col):
+            acc = (acc << 1) | (g.adj[col] >> row & 1)
+            width += 1
+            if width == 6:
+                out.append(acc + 63)
+                acc = 0
+                width = 0
+    if width:
+        out.append((acc << (6 - width)) + 63)
+    return out.decode("ascii")
+
+
+def reference_from_graph6(data: bytes):
+    data = data.strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    for byte in data:
+        if not 63 <= byte <= 126:
+            raise PreconditionError(f"malformed graph6 byte {byte}")
+    n, consumed = _decode_size(data)
+    body = data[consumed:]
+    nbits = n * (n - 1) // 2
+    expected = (nbits + 5) // 6
+    if len(body) < expected:
+        raise PreconditionError("truncated graph6 body")
+    if len(body) > expected:
+        raise PreconditionError("trailing bytes after graph6 body")
+    stream = [(byte - 63) >> shift & 1 for byte in body for shift in range(5, -1, -1)]
+    adj = [0] * n
+    at = 0
+    for col in range(1, n):
+        for row in range(col):
+            if stream[at]:
+                adj[row] |= 1 << col
+                adj[col] |= 1 << row
+            at += 1
+    if any(stream[at:]):
+        raise PreconditionError("nonzero padding bits in graph6 body")
+    return Graph(n, adj)
+
+
+def random_graph(n, density, rng):
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < density])
+
+
+@pytest.mark.parametrize("n", [*range(13), 61, 62, 63, 64, 100])
+def test_graph6_matches_reference_codec(n):
+    rng = random.Random(n)
+    for density in (0.0, 0.05, 0.3, 0.5, 0.9, 1.0):
+        g = random_graph(n, density, rng)
+        text = to_graph6(g)
+        assert text == reference_to_graph6(g)
+        assert from_graph6(text) == reference_from_graph6(text.encode()) == g
+    # the 4-byte size header starts at n = 63
+    assert len(_encode_size(n)) == (1 if n <= 62 else 4)
+
+
+@pytest.mark.parametrize("text", [
+    "B\x1f", "B\x7f", "\x1fBw",      # byte outside 63..126
+    "~", "~?", "~~????",               # truncated size header
+    "D", "Dw", "~?@?",                 # truncated body
+    "Bww", "A_?", "C~~",               # trailing bytes
+    "B~", "A`", "D~~",                 # nonzero padding bits
+    "Bw", ">>graph6<<Bw", " Bw\n",    # valid
+])
+def test_graph6_errors_match_reference(text):
+    data = text.encode("ascii")
+    try:
+        expected = reference_from_graph6(data)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as caught:
+            from_graph6(text)
+        assert str(caught.value) == str(exc)
+        with pytest.raises(PreconditionError) as caught:
+            from_graph6(data)
+        assert str(caught.value) == str(exc)
+    else:
+        assert from_graph6(text) == from_graph6(data) == expected
 
 
 @given(graphs())

@@ -9,10 +9,12 @@ from turanpack import (AuxDigraph, EngineTrace, PackingWitness,
                        StructureCertificate, accessible_path, apply_shift,
                        build_aux_digraph, certify_k7_structure,
                        check_blocked_domination, check_preconditions,
-                       from_edge_list, init_partition, naive_disjoint_independent_sets,
-                       propose_moves, resolve, solo_neighbor, union_of_cliques,
-                       verify_certificate, verify_witness)
-from turanpack.shifting import _apply_witness_move
+                       clique_component_sizes, from_edge_list, init_partition,
+                       naive_disjoint_independent_sets, propose_moves, resolve,
+                       solo_neighbor, union_of_cliques, verify_certificate,
+                       verify_witness)
+from turanpack.graphs import is_clique_union
+from turanpack.shifting import _apply_witness_move, iter_moves
 
 EMPTY14 = from_edge_list(14, [])
 
@@ -204,17 +206,8 @@ def test_double_solo_distinct_mover():
 def test_double_solo_mover_is_solo():
     # same layout but the shared solo neighbor is vertex 0, which is also
     # the lowest class-1 vertex without neighbors in the destination
-    edges = [
-        (11, 0), (12, 0),
-        (13, 1),
-        (3, 1), (4, 2), (5, 1),
-        (6, 2), (7, 1), (8, 2),
-        (3, 9), (4, 10), (5, 9),
-        (6, 10), (7, 9), (8, 10),
-        (11, 9), (12, 10), (13, 9),
-    ]
-    g = from_edge_list(14, edges)
-    st = PartitionState(g, 3, DOUBLE_SOLO_CLASSES)
+    st = mover_is_solo_state()
+    g = st.graph
     aux = build_aux_digraph(st)
     assert aux.arcs[(1, 4)] == 0
     moves = propose_moves(st, aux)
@@ -235,6 +228,74 @@ def test_path_shift_has_priority_when_class0_is_accessible():
     assert moves[0].kind == "path-shift"
     ended = _apply_witness_move(st, moves[0])
     assert ended.witness() is not None
+
+
+def mover_is_solo_state():
+    edges = [
+        (11, 0), (12, 0),
+        (13, 1),
+        (3, 1), (4, 2), (5, 1),
+        (6, 2), (7, 1), (8, 2),
+        (3, 9), (4, 10), (5, 9),
+        (6, 10), (7, 9), (8, 10),
+        (11, 9), (12, 10), (13, 9),
+    ]
+    return PartitionState(from_edge_list(14, edges), 3, DOUBLE_SOLO_CLASSES)
+
+
+def assert_lazy_moves_agree(st, last_swap=None):
+    aux = build_aux_digraph(st)
+    eager = propose_moves(st, aux, last_swap)
+    assert next(iter_moves(st, aux, last_swap), None) == (eager[0] if eager else None)
+
+
+def test_iter_moves_first_move_on_crafted_states():
+    crafted = [double_solo_state(), mover_is_solo_state(),
+               init_partition(from_edge_list(14, [(11, 9)]), 3)]
+    for st in crafted:
+        assert_lazy_moves_agree(st)
+        aux = build_aux_digraph(st)
+        for move in propose_moves(st, aux):
+            if move.kind == "re-root":
+                assert_lazy_moves_agree(st, (move.movers[0], move.target_class))
+            if move.kind == "solo-swap":
+                assert_lazy_moves_agree(st, (move.leftovers[0], move.target_class))
+
+
+def test_iter_moves_first_move_on_random_hosts():
+    rng = random.Random(59)
+    checked = 0
+    while checked < 200:
+        p = rng.choice([3, 4])
+        s = rng.randrange(3, 9)
+        g = sparse_random(4 * p - 1 + s, rng.randrange(0, 7 * s + 1), rng)
+        st = init_partition(g, p)
+        if st is None:
+            continue
+        assert_lazy_moves_agree(st)
+        checked += 1
+
+
+def test_clique_union_check_agrees_with_component_scan():
+    k7_union = union_of_cliques([7, 7], 7)
+    hosts = [k7_union, minus_edge(k7_union, (0, 1)), EMPTY14,
+             from_edge_list(0, []), union_of_cliques([1, 2, 3], 0)]
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randrange(1, 24)
+        hosts.append(sparse_random(n, rng.randrange(0, 2 * n), rng))
+        sizes = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 5))]
+        union = union_of_cliques(sizes, rng.randrange(0, 4))
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        union = from_edge_list(union.n, [(perm[u], perm[v]) for u, v in union.edges()])
+        hosts.append(union)
+        if union.edge_count():
+            hosts.append(minus_edge(union, rng.choice(list(union.edges()))))
+    assert any(is_clique_union(g) for g in hosts[5:])
+    assert not all(is_clique_union(g) for g in hosts[5:])
+    for g in hosts:
+        assert is_clique_union(g) == (clique_component_sizes(g) is not None)
 
 
 def test_certify_k7_structure():

@@ -10,7 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeGuardError
+
+# Largest vertex count an edge list may declare (or imply by its largest
+# endpoint). Checked before the adjacency rows are allocated, so a header
+# line like "1000000000" fails fast instead of exhausting memory; at the cap
+# even a complete graph's rows take 32 MiB. graph6 input needs no such cap:
+# its body length already bounds n.
+MAX_EDGE_LIST_N = 1 << 14
 
 
 def mask_of(members: Iterable[int]) -> int:
@@ -151,6 +158,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from (u, v) pairs; duplicates collapse, loops are errors."""
     if n < 0:
         raise PreconditionError("vertex count must be nonnegative")
+    if n > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"edge-list guard: declared n={n} > {MAX_EDGE_LIST_N}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -1,10 +1,21 @@
 """Exact search for disjoint independent sets, plus equitable colorings.
 
-The searches are exact and deterministic: backtracking over sets ordered so
-that set minima increase (symmetry breaking), with supply pruning from
-per-component independence capacities. Hosts whose components are all
-cliques or isolated vertices take an analytic path that works at any n;
-everything else is guarded by a configurable size cap.
+The searches are exact and deterministic: depth-first backtracking over
+sets sorted by descending size, where sets of equal size have increasing
+minima (symmetry breaking). Two bounds cut subtrees that hold no solution,
+so the first witness found is the one the unbounded search would find:
+
+- supply bound: with r sets left, a component C can give them at most
+  min(|avail & C|, r * min(alpha(C), max size)) vertices, because each set
+  is independent and takes at most min(alpha(C), its size) vertices of C;
+- leftover-vertex budget: once a set of the smallest size starts at vertex
+  f, it and every later set (all of that size, with larger minima) use only
+  vertices >= f, so f is tried only while the available vertices >= f
+  number at least the vertices still needed.
+
+Hosts whose components are all cliques or isolated vertices take an
+analytic path that works at any n; everything else is guarded by a
+configurable size cap.
 """
 
 from __future__ import annotations
@@ -76,8 +87,25 @@ def _alpha_mask(adj: tuple[int, ...], mask: int, memo: dict) -> int:
     return result
 
 
+def _alpha_capped(adj: tuple[int, ...], mask: int, cap: int, memo: dict) -> int:
+    """min(alpha(G[mask]), cap). A greedy independent set in ascending
+    degree order that reaches cap settles it without the exact search."""
+    order = sorted(bits(mask), key=lambda v: ((adj[v] & mask).bit_count(), v))
+    free = mask
+    count = 0
+    for v in order:
+        if free >> v & 1:
+            count += 1
+            if count == cap:
+                return cap
+            free &= ~adj[v]
+    return min(cap, _alpha_mask(adj, mask, memo))
+
+
 def independence_number(g: Graph, guard_n: int | None = None) -> int:
-    """Exact independence number via branch and bound over components."""
+    """Exact independence number: the sum over components of a memoized
+    branching search (drop or take a vertex of maximum degree; a
+    mask with no edges counts whole)."""
     guard = DEFAULT_GUARD_N if guard_n is None else guard_n
     if g.n > guard:
         raise SizeGuardError(f"independence_number guard: n={g.n} > {guard}")
@@ -141,6 +169,12 @@ def _clique_union_search(g: Graph, sizes: tuple[int, ...],
 
 def _supply_bound(avail: int, k_rem: int,
                   comp_info: list[tuple[int, int]]) -> int:
+    """Upper bound on the vertices k_rem more sets can take from avail.
+
+    comp_info pairs each component C with min(alpha(C), max set size); each
+    independent set takes at most that many vertices of C, so the k_rem
+    sets take at most min(|avail & C|, k_rem * that) from it.
+    """
     total = 0
     for comp_mask, alpha in comp_info:
         inside = (avail & comp_mask).bit_count()
@@ -193,9 +227,9 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
     greedy = _greedy_attempt(g, sizes)
     if greedy is not None:
         return greedy
-    memo: dict = {}
-    comp_info = [(comp, _alpha_mask(g.adj, comp, memo)) for comp in components(g)]
     adj = g.adj
+    memo: dict = {}
+    comp_info = [(comp, _alpha_capped(adj, comp, sizes[0], memo)) for comp in components(g)]
     k = len(sizes)
     totals = [sum(sizes[i:]) for i in range(k + 1)]
 
@@ -206,6 +240,7 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
             return None
         need = sizes[idx]
         same_group = idx > 0 and sizes[idx - 1] == need
+        last_group = need == sizes[-1]
         start = floor if same_group else 0
         first_candidates = avail >> start << start
 
@@ -230,6 +265,8 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
         while rem:
             low = rem & -rem
             first = low.bit_length() - 1
+            if last_group and (avail >> first).bit_count() < totals[idx]:
+                return None  # leftover-vertex budget; fails for every later first
             rem ^= low
             above = avail >> (first + 1) << (first + 1)
             result = grow(low, 1, above & ~adj[first], first)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -327,3 +328,23 @@ def test_cli_import_loads_neither_numpy_nor_networkx():
     result = subprocess.run([sys.executable, "-c", check], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_huge_declared_edge_list_hits_the_guard_before_allocating(tmp_path):
+    # A header of 10**9 vertices once made the parser allocate 10**9 rows.
+    # Under a 1 GiB address-space cap that is a MemoryError; the guard must
+    # refuse the input (exit 3) before any allocation.
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000\n0 1\n")
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "turanpack.cli", "pack", "k=2", "p=2", "--input", str(path)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    assert result.returncode == 3, result.stderr
+    assert "declared n=1000000000 > 16384" in result.stderr
+    assert "MemoryError" not in result.stderr

@@ -10,13 +10,14 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from turanpack import (Graph, PreconditionError, VertexSet, complement,
+from turanpack import (Graph, PreconditionError, SizeGuardError, VertexSet,
+                       complement,
                        complete_graph, components, clique_component_sizes,
                        cross_edge_count, disjoint_union, empty_graph,
                        from_edge_list, from_edge_list_text, from_graph6,
                        induced_subgraph, join, to_edge_list_text, to_graph6)
 from turanpack.codec import _decode_size, _encode_size, parse_graph_text
-from turanpack.graphs import bits, mask_of
+from turanpack.graphs import MAX_EDGE_LIST_N, bits, mask_of
 
 
 def cycle(n):
@@ -285,6 +286,17 @@ def test_edge_list_text_comments_and_errors():
     assert g.n == 4 and g.edge_count() == 2
     with pytest.raises(PreconditionError):
         from_edge_list_text("4\n0 1 2\n")
+
+
+def test_edge_list_vertex_count_is_capped():
+    assert from_edge_list(MAX_EDGE_LIST_N, [(0, MAX_EDGE_LIST_N - 1)]).edge_count() == 1
+    with pytest.raises(SizeGuardError, match=f"n={MAX_EDGE_LIST_N + 1} > {MAX_EDGE_LIST_N}"):
+        from_edge_list(MAX_EDGE_LIST_N + 1, [])
+    with pytest.raises(SizeGuardError, match="n=1000000000 >"):
+        from_edge_list_text("1000000000\n0 1\n")
+    # without a header, the largest endpoint implies n
+    with pytest.raises(SizeGuardError, match=f"n={MAX_EDGE_LIST_N + 1} >"):
+        from_edge_list_text(f"0 {MAX_EDGE_LIST_N}\n")
 
 
 def test_parse_graph_text_autodetects():

@@ -6,10 +6,13 @@ import pytest
 
 from turanpack import (Graph, PackingWitness, PreconditionError,
                        SizeGuardError, VertexSet, complement, complete_graph,
-                       find_clique_packing, find_disjoint_independent_sets,
-                       from_edge_list, independence_number,
+                       components, disjoint_union, find_clique_packing,
+                       find_disjoint_independent_sets, from_edge_list,
+                       independence_number, induced_subgraph,
                        naive_disjoint_independent_sets, union_of_cliques,
                        verify_witness)
+from turanpack.graphs import bits, is_clique_union
+from turanpack.packing import _alpha_capped, _find_disjoint_sets, _greedy_attempt
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 PETERSEN = from_edge_list(10, [
@@ -151,3 +154,151 @@ def test_trivial_patterns():
     with pytest.raises(PreconditionError):
         find_disjoint_independent_sets(g, 0, 3)
     assert find_disjoint_independent_sets(g, 4, 1) is None  # only 3 vertices
+
+
+# -- the bounds prune only ------------------------------------------------------
+
+
+def unbounded_search(g, sizes):
+    """The packing core's depth-first order with every bound removed: sets by
+    descending size, equal sizes with increasing minima, members low first."""
+    sizes = tuple(sorted(sizes, reverse=True))
+    k = len(sizes)
+
+    def sets_from(set_mask, left, cand):
+        if left == 0:
+            yield set_mask
+            return
+        for v in bits(cand):
+            above = cand >> (v + 1) << (v + 1)
+            yield from sets_from(set_mask | 1 << v, left - 1, above & ~g.adj[v])
+
+    def place(idx, avail, floor):
+        if idx == k:
+            return []
+        need = sizes[idx]
+        start = floor if idx > 0 and sizes[idx - 1] == need else 0
+        for first in bits(avail >> start << start):
+            above = avail >> (first + 1) << (first + 1)
+            for set_mask in sets_from(1 << first, need - 1, above & ~g.adj[first]):
+                rest = place(idx + 1, avail & ~set_mask, first + 1)
+                if rest is not None:
+                    return [set_mask] + rest
+        return None
+
+    return place(0, g.full_mask(), 0)
+
+
+def reference_core(g, sizes):
+    """What _find_disjoint_sets answers on a host that is not a clique union:
+    the greedy pass, else the unbounded search."""
+    if sum(sizes) > g.n:
+        return None
+    sizes = tuple(sorted(sizes, reverse=True))
+    greedy = _greedy_attempt(g, sizes)
+    return greedy if greedy is not None else unbounded_search(g, sizes)
+
+
+def small_components(rng, count):
+    """Disjoint union of random connected non-clique graphs on 4..7 vertices."""
+    parts = []
+    while len(parts) < count:
+        n = rng.randrange(4, 8)
+        h = random_graph(n, rng.randrange(n - 1, n * (n - 1) // 2), rng)
+        if len(components(h)) == 1 and not is_clique_union(h):
+            parts.append(h)
+    return disjoint_union(*parts)
+
+
+def assert_prunes_only(cases):
+    searched = nones = 0
+    for g, sizes in cases:
+        assert not is_clique_union(g)
+        got = _find_disjoint_sets(g, sizes, None)
+        assert got == reference_core(g, sizes), (g, sizes)
+        if _greedy_attempt(g, tuple(sorted(sizes, reverse=True))) is None:
+            searched += 1
+            nones += got is None
+    return searched, nones
+
+
+def test_bounds_prune_only_on_tight_hosts():
+    rng = random.Random(41)
+    cases = []
+    while len(cases) < 150:
+        k = rng.randrange(2, 5)
+        p = rng.randrange(2, 16 // k + 1)
+        n = k * p
+        g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 3 + 1), rng)
+        if not is_clique_union(g):
+            cases.append((g, (p,) * k))
+    searched, nones = assert_prunes_only(cases)
+    assert searched >= 50 and nones >= 20, (searched, nones)
+
+
+def test_bounds_prune_only_on_multi_component_hosts():
+    # Components whose independence number exceeds p are where the cap on
+    # the per-component alpha tightens the supply bound.
+    rng = random.Random(43)
+    cases = []
+    capped = 0
+    for _ in range(120):
+        g = small_components(rng, rng.randrange(2, 4))
+        p = rng.randrange(2, 5)
+        k = max(1, g.n // p - rng.randrange(0, 2))
+        cases.append((g, (p,) * k))
+        capped += any(independence_number(induced_subgraph(g, bits(comp))) > p
+                      for comp in components(g))
+    searched, nones = assert_prunes_only(cases)
+    assert searched >= 40 and nones >= 5 and capped >= 20, (searched, nones, capped)
+
+
+def test_bounds_prune_only_with_mixed_sizes():
+    # Only the smallest-size group has the leftover-vertex budget; the larger
+    # sets before it restart their minima at 0.
+    rng = random.Random(47)
+    cases = []
+    while len(cases) < 200:
+        sizes = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(2, 5)))
+        if len(set(sizes)) == 1:
+            continue
+        n = sum(sizes) + rng.randrange(0, 2)
+        if n > 14:
+            continue
+        if rng.random() < 0.5:
+            g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 3 + 1), rng)
+        else:
+            g = small_components(rng, 3)
+        if not is_clique_union(g) and sum(sizes) <= g.n:
+            cases.append((g, sizes))
+    searched, nones = assert_prunes_only(cases)
+    assert searched >= 40 and nones >= 15, (searched, nones)
+
+
+def test_agrees_with_naive_at_the_threshold():
+    # n = kp and n = kp + 1: where the leftover-vertex budget cuts hardest.
+    rng = random.Random(53)
+    outcomes = {True: 0, False: 0}
+    for _ in range(160):
+        k = rng.randrange(2, 5)
+        p = rng.randrange(2, 12 // k + 1)
+        n = k * p + rng.randrange(0, 2)
+        g = random_graph(n, rng.randrange(n, n * (n - 1) // 3 + 1), rng)
+        fast = find_disjoint_independent_sets(g, k, p)
+        slow = naive_disjoint_independent_sets(g, k, p)
+        assert (fast is None) == (slow is None), (g, k, p)
+        if fast is not None:
+            assert verify_witness(g, fast, k, p).ok
+        outcomes[fast is not None] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_capped_alpha_is_min_of_alpha_and_cap():
+    rng = random.Random(59)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+        for comp in components(g):
+            alpha = independence_number(induced_subgraph(g, bits(comp)))
+            for cap in (1, 2, 3, 5, 8):
+                assert _alpha_capped(g.adj, comp, cap, {}) == min(alpha, cap)

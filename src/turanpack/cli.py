@@ -20,8 +20,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ._version import __version__
 from .codec import parse_graph_text, to_graph6
@@ -51,8 +50,7 @@ TABLE_COLUMNS = ("pattern", "n", "p", "value", "regime", "construction",
                  "note", "verified")
 
 
-@dataclass
-class Settings:
+class Settings(NamedTuple):
     seed: int
     guard_n: int | None
     budget: int | None

@@ -10,15 +10,15 @@ complemented=True so that e(complement(built)) always equals the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeGuardError
 from .formulas import ConstructionRef, binom2, hub_join_edges, turan_edges
-from .graphs import Graph, complement, complete_graph, disjoint_union, empty_graph, from_edge_list, join
+from .graphs import (MAX_EDGE_LIST_N, Graph, complement, complete_graph, disjoint_union,
+                     empty_graph, from_edge_list, join)
 
 
-@dataclass(frozen=True)
-class ConstructionDescriptor:
+class ConstructionDescriptor(NamedTuple):
     """What was built and which freeness claim it carries.
 
     claim is a (k, p) pattern; claim_side says which graph avoids k
@@ -215,43 +215,47 @@ def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
     return g, desc
 
 
+def _vertex_count(family: str, params: dict) -> int:
+    """Vertex count of the family's base graph, from its parameters alone."""
+    if family in ("J", "rigid-union"):
+        k = 4 if family == "J" else params["k"]
+        return k * params["p"] - 1 + params["s"]
+    if family in ("tight-A", "tight-B"):
+        return params["k"] * params["p"]
+    if family in _NEAR_TIGHT:
+        return _NEAR_TIGHT[family][0] + 4 * params["p"] - 5
+    if family == "G4":
+        return 16
+    return params["n"]
+
+
 def _expected_edges(ref: ConstructionRef) -> int:
     """Closed-form edge count of the graph build_ref returns."""
     family, params = ref.family, ref.params
     if family == "turan":
         base = turan_edges(params["n"], params["p"])
-        total = binom2(params["n"])
     elif family == "hub-join":
         base = hub_join_edges(params["k"], params["n"], params["p"])
-        total = binom2(params["n"])
     elif family in ("J", "rigid-union"):
         k = 4 if family == "J" else params["k"]
         base = (2 * k - 1) * params["s"]
-        total = binom2(k * params["p"] - 1 + params["s"])
     elif family == "tight-A":
         base = binom2(params["k"] + 1)
-        total = binom2(params["k"] * params["p"])
     elif family == "tight-B":
         base = params["k"] * params["p"] - params["p"] + 1
-        total = binom2(params["k"] * params["p"])
-    elif family in ("G1", "G2", "G3", "G5"):
+    elif family in _NEAR_TIGHT:
         base = _NEAR_TIGHT[family][1]
-        total = binom2(_NEAR_TIGHT[family][0] + 4 * params["p"] - 5)
     elif family == "G4":
         base = 35
-        total = binom2(16)
     elif family == "clique-block":
         base = binom2(params["r"])
-        total = binom2(params["n"])
     elif family == "empty":
         base = 0
-        total = binom2(params["n"])
     elif family == "complete":
         base = binom2(params["n"])
-        total = base
     else:  # pragma: no cover - _build_base already rejected it
         raise PreconditionError(f"unknown construction family {family!r}")
-    return total - base if ref.complemented else base
+    return binom2(_vertex_count(family, params)) - base if ref.complemented else base
 
 
 # CLI-facing family registry: which parameters each family takes.
@@ -281,6 +285,13 @@ def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescript
     if missing:
         raise PreconditionError(
             f"family {family} needs parameters: {', '.join(missing)}")
+    not_int = [name for name in CLI_FAMILIES[family] if not isinstance(params[name], int)]
+    if not_int:
+        raise PreconditionError(
+            f"family {family} needs integer parameters: {', '.join(not_int)}")
+    n = _vertex_count(family, params)
+    if n > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"construct guard: {family} has n={n} > {MAX_EDGE_LIST_N}")
     try:
         return build_ref(ConstructionRef(family, params))
     except PreconditionError as exc:

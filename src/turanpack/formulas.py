@@ -10,8 +10,8 @@ graph qualifies, so the value is C(n,2) under the regime
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple
 
 from .errors import PreconditionError
 
@@ -27,8 +27,7 @@ REGIME_TIGHT_B = "tight-family-B"
 REGIME_NEAR_TIGHT = ("near-tight-1", "near-tight-2", "near-tight-3", "near-tight-4")
 
 
-@dataclass(frozen=True)
-class ConstructionRef:
+class ConstructionRef(NamedTuple):
     """Pointer to a construction family; resolved by constructions.build_ref.
 
     complemented=True means the attaining graph handed back to callers is
@@ -37,32 +36,30 @@ class ConstructionRef:
     """
 
     family: str
-    params: dict = field(compare=True)
+    params: dict
     complemented: bool = False
 
 
-@dataclass(frozen=True)
-class TuranValue:
+class TuranValue(NamedTuple):
     value: int
     regime: str
     construction: ConstructionRef | None = None
 
 
-@dataclass(frozen=True)
 class FormulaQuery:
     """Parsed formula request: which pattern, and its parameters."""
 
-    pattern: str
-    n: int | None = None
-    p: int | None = None
-    q: int | None = None
-    k: int | None = None
-
     PATTERNS = ("Kp", "kK2", "kKp-tight", "2Kp", "KpKq", "3Kp", "4Kp", "f3")
 
-    def __post_init__(self):
-        if self.pattern not in self.PATTERNS:
-            raise PreconditionError(f"unknown pattern {self.pattern!r}")
+    def __init__(self, pattern: str, n: int | None = None, p: int | None = None,
+                 q: int | None = None, k: int | None = None):
+        if pattern not in self.PATTERNS:
+            raise PreconditionError(f"unknown pattern {pattern!r}")
+        self.pattern = pattern
+        self.n = n
+        self.p = p
+        self.q = q
+        self.k = k
 
     @property
     def s(self) -> int | None:

@@ -7,16 +7,16 @@ every operation returns a new Graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, SizeGuardError
 
 # Largest vertex count an edge list may declare (or imply by its largest
-# endpoint). Checked before the adjacency rows are allocated, so a header
-# line like "1000000000" fails fast instead of exhausting memory; at the cap
-# even a complete graph's rows take 32 MiB. graph6 input needs no such cap:
-# its body length already bounds n.
+# endpoint), and the largest host `construct` builds. Checked before the
+# adjacency rows are allocated, so a header line like "1000000000" fails
+# fast instead of exhausting memory; at the cap even a complete graph's rows
+# take 32 MiB. graph6 input needs no such cap: its body length already
+# bounds n.
 MAX_EDGE_LIST_N = 1 << 14
 
 
@@ -35,12 +35,25 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class VertexSet:
     """A subset of a graph's vertex range, stored as a bitmask."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
+
+    def __init__(self, n: int, mask: int):
+        self.n = n
+        self.mask = mask
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VertexSet:
+            return NotImplemented
+        return self.n == other.n and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __repr__(self) -> str:
+        return f"VertexSet(n={self.n}, mask={self.mask})"
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "VertexSet":

@@ -13,6 +13,16 @@ so the first witness found is the one the unbounded search would find:
   vertices >= f, so f is tried only while the available vertices >= f
   number at least the vertices still needed.
 
+On a tight host (sum of sizes = n) the sets left must partition the
+available vertices exactly, which decides the last two sets outright:
+
+- last set: the only candidate is every available vertex, so it is taken
+  iff it is independent (the budget above already puts it above the floor);
+- last two sets: they exist only if the available vertices split into two
+  independent sets, one of the size wanted, i.e. G[avail] is bipartite and
+  some choice of side per component sums to that size; a branch with no
+  such split is cut before any enumeration.
+
 Hosts whose components are all cliques or isolated vertices take an
 analytic path that works at any n; everything else is guarded by a
 configurable size cap.
@@ -20,7 +30,7 @@ configurable size cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .graphs import Graph, VertexSet, bits, complement, components
@@ -29,8 +39,7 @@ DEFAULT_GUARD_N = 64
 DEFAULT_EXACT_COLORING_GUARD = 20
 
 
-@dataclass(frozen=True)
-class PackingWitness:
+class PackingWitness(NamedTuple):
     """k pairwise disjoint vertex sets, independent or cliques per mode."""
 
     sets: tuple[VertexSet, ...]
@@ -39,8 +48,7 @@ class PackingWitness:
         return tuple(s.mask for s in self.sets)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     violation: str | None = None
 
@@ -48,15 +56,13 @@ class VerificationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class EquitableColoring:
+class EquitableColoring(NamedTuple):
     """Proper coloring whose class sizes differ by at most one."""
 
     classes: tuple[VertexSet, ...]
 
 
-@dataclass(frozen=True)
-class ExactColoringResult:
+class ExactColoringResult(NamedTuple):
     coloring: EquitableColoring | None
     certificate: tuple[VertexSet, VertexSet] | None = None
 
@@ -183,6 +189,39 @@ def _supply_bound(avail: int, k_rem: int,
     return total
 
 
+def _splits_into_two(g: Graph, mask: int, size: int) -> bool:
+    """Whether mask splits into two independent sets, one of the given size.
+
+    Each component of G[mask] is 2-colored by BFS layers; it must have no
+    edge inside a side, and a subset sum over the side sizes (one bit per
+    reachable total) must reach size.
+    """
+    adj = g.adj
+    reach = 1
+    left = mask
+    while left:
+        frontier = left & -left
+        sides = [0, 0]
+        parity = 0
+        seen = frontier
+        while frontier:
+            sides[parity] |= frontier
+            grown = 0
+            rem = frontier
+            while rem:
+                low = rem & -rem
+                grown |= adj[low.bit_length() - 1]
+                rem ^= low
+            frontier = grown & mask & ~seen
+            seen |= frontier
+            parity ^= 1
+        if not (g.is_independent(sides[0]) and g.is_independent(sides[1])):
+            return False
+        left &= ~seen
+        reach = (reach << sides[0].bit_count()) | (reach << sides[1].bit_count())
+    return reach >> size & 1 == 1
+
+
 def _greedy_attempt(g: Graph, sizes: tuple[int, ...]) -> list[int] | None:
     """One cheap pass in degree order; a hit skips the full search."""
     order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
@@ -232,10 +271,17 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
     comp_info = [(comp, _alpha_capped(adj, comp, sizes[0], memo)) for comp in components(g)]
     k = len(sizes)
     totals = [sum(sizes[i:]) for i in range(k + 1)]
+    tight = totals[0] == g.n  # then every avail below has exactly totals[idx] vertices
 
     def place(idx: int, avail: int, floor: int) -> list[int] | None:
         if idx == k:
             return []
+        if tight and idx == k - 1:
+            # No floor test: the budget makes each set of the last group
+            # start at the lowest available vertex, so avail is above floor.
+            return [avail] if g.is_independent(avail) else None
+        if tight and idx == k - 2 and not _splits_into_two(g, avail, sizes[idx]):
+            return None
         if _supply_bound(avail, k - idx, comp_info) < totals[idx]:
             return None
         need = sizes[idx]

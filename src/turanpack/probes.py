@@ -11,7 +11,7 @@ emits a concrete counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .codec import to_graph6
 from .errors import PreconditionError, SizeGuardError
@@ -69,17 +69,17 @@ def is_rigid_small_clique_union(g: Graph, k: int, s: int) -> bool:
     return cliques == s // (k - 1) and g.edge_count() == (2 * k - 1) * s
 
 
-@dataclass
 class DichotomyProbeReport:
-    k: int
-    p: int
-    trials: int
-    seed: int
-    witnessed: int = 0
-    rigid: int = 0
-    skipped: int = 0
-    counterexample: str | None = None  # graph6
-    counterexample_params: dict | None = None
+    def __init__(self, k: int, p: int, trials: int, seed: int):
+        self.k = k
+        self.p = p
+        self.trials = trials
+        self.seed = seed
+        self.witnessed = 0
+        self.rigid = 0
+        self.skipped = 0
+        self.counterexample: str | None = None  # graph6
+        self.counterexample_params: dict | None = None
 
     @property
     def consistent(self) -> bool:
@@ -120,8 +120,7 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
     return report
 
 
-@dataclass
-class ValueSweepRow:
+class ValueSweepRow(NamedTuple):
     n: int
     branch: str
     value: int
@@ -134,13 +133,13 @@ class ValueSweepRow:
         return self.value == self.construction_edges and self.pattern_free
 
 
-@dataclass
 class ValueSweepReport:
-    k: int
-    p: int
-    rows: list[ValueSweepRow] = field(default_factory=list)
-    boundary_consistent: bool = True
-    matches_four_block_values: bool | None = None  # k = 4 only
+    def __init__(self, k: int, p: int):
+        self.k = k
+        self.p = p
+        self.rows: list[ValueSweepRow] = []
+        self.boundary_consistent = True
+        self.matches_four_block_values: bool | None = None  # k = 4 only
 
     @property
     def consistent(self) -> bool:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from ._version import __version__
@@ -21,15 +20,20 @@ from .shifting import StructureCertificate
 RECORD_VERSION = 1
 
 
-@dataclass
 class ResultRecord:
-    command: str
-    parameters: dict[str, Any]
-    outcome: str  # "value" | "witness" | "certificate" | "counterexample" | "none"
-    payload: dict[str, Any] = field(default_factory=dict)
-    seed: int | None = None
-    timestamp: str | None = None
-    runtime_seconds: float | None = None
+    """One result; outcome is "value", "witness", "certificate",
+    "counterexample" or "none"."""
+
+    def __init__(self, command: str, parameters: dict[str, Any], outcome: str,
+                 payload: dict[str, Any] | None = None, seed: int | None = None,
+                 timestamp: str | None = None, runtime_seconds: float | None = None):
+        self.command = command
+        self.parameters = parameters
+        self.outcome = outcome
+        self.payload = {} if payload is None else payload
+        self.seed = seed
+        self.timestamp = timestamp
+        self.runtime_seconds = runtime_seconds
 
     def to_dict(self) -> dict[str, Any]:
         return {

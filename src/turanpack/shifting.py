@@ -12,8 +12,7 @@ moves stir stuck states; an exact packing search settles whatever is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError, SoundnessAlarm
 from .graphs import Graph, VertexSet, bits, components, is_clique_union
@@ -23,14 +22,17 @@ from .packing import (PackingWitness, VerificationReport,
 CLASS_COUNT = 5
 
 
-@dataclass(frozen=True)
 class PartitionState:
     """Five-class partition; classes[1..4] independent, at most one of them
     one vertex short of p (the destination)."""
 
-    graph: Graph
-    p: int
-    classes: tuple[int, ...]  # vertex masks
+    __slots__ = ("graph", "p", "classes")
+
+    def __init__(self, graph: Graph, p: int, classes: tuple[int, ...]):
+        self.graph = graph
+        self.p = p
+        self.classes = classes  # vertex masks
+        self.__post_init__()  # the validation, timed as its own layer by perfbench
 
     def __post_init__(self):
         if len(self.classes) != CLASS_COUNT:
@@ -78,8 +80,7 @@ class PartitionState:
         return PackingWitness(tuple(VertexSet(n, m) for m in masks))
 
 
-@dataclass(frozen=True)
-class AuxDigraph:
+class AuxDigraph(NamedTuple):
     """Movability digraph on the five classes: arc (i, j) iff some vertex
     of class i has no neighbor in class j; the witness is the lowest such
     vertex. Accessible classes are those with a directed path to the
@@ -94,8 +95,7 @@ class AuxDigraph:
         return frozenset(range(CLASS_COUNT)) - self.accessible
 
 
-@dataclass(frozen=True)
-class StructureCertificate:
+class StructureCertificate(NamedTuple):
     """The rigid outcome: the host is a union of 7-cliques plus isolated
     vertices, with the bookkeeping facts re-checked at construction."""
 
@@ -106,8 +106,7 @@ class StructureCertificate:
     max_degree: int
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     kind: str
     path: tuple[int, ...] = ()
     movers: tuple[int, ...] = ()
@@ -116,13 +115,13 @@ class Move:
     target_class: int | None = None
 
 
-@dataclass
 class EngineTrace:
     """Optional per-rebuild observations, kept for empirical study."""
 
-    inaccessible_sizes: list[int] = field(default_factory=list)
-    moves: list[str] = field(default_factory=list)
-    used_exact_fallback: bool = False
+    def __init__(self):
+        self.inaccessible_sizes: list[int] = []
+        self.moves: list[str] = []
+        self.used_exact_fallback = False
 
 
 # -- construction of the initial partition ------------------------------------

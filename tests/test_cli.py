@@ -322,29 +322,47 @@ def test_malformed_graph_input(run_cli):
 def test_cli_import_loads_neither_numpy_nor_networkx():
     # numpy serves only the oracle scan and networkx only a coloring
     # fallback; every other command should not pay for importing them.
+    # dataclasses (which pulls in inspect, ast and dis) is not used at all.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     check = ("import turanpack.cli, sys; "
-             "assert 'numpy' not in sys.modules and 'networkx' not in sys.modules")
+             "assert not {'numpy', 'networkx', 'dataclasses', 'inspect'} & set(sys.modules)")
     result = subprocess.run([sys.executable, "-c", check], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
 
 
-def test_huge_declared_edge_list_hits_the_guard_before_allocating(tmp_path):
-    # A header of 10**9 vertices once made the parser allocate 10**9 rows.
-    # Under a 1 GiB address-space cap that is a MemoryError; the guard must
-    # refuse the input (exit 3) before any allocation.
-    path = tmp_path / "huge.txt"
-    path.write_text("1000000000\n0 1\n")
+def run_cli_capped(argv):
+    """The CLI in a subprocess under a 1 GiB address-space cap, where a
+    huge allocation is a MemoryError instead of a swapping host."""
     cap = 1 << 30
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(
-        [sys.executable, "-m", "turanpack.cli", "pack", "k=2", "p=2", "--input", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "turanpack.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+
+
+def test_huge_declared_edge_list_hits_the_guard_before_allocating(tmp_path):
+    # A header of 10**9 vertices once made the parser allocate 10**9 rows;
+    # the guard must refuse the input (exit 3) before any allocation.
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000\n0 1\n")
+    result = run_cli_capped(["pack", "k=2", "p=2", "--input", str(path)])
     assert result.returncode == 3, result.stderr
     assert "declared n=1000000000 > 16384" in result.stderr
     assert "MemoryError" not in result.stderr
+
+
+def test_huge_construct_hits_the_guard_before_allocating():
+    # construct once built any family at any n: these ended in MemoryError.
+    for argv, declared in [(["empty", "n=1000000000"], 1000000000),
+                           (["complete", "n=200000"], 200000),
+                           (["G1", "p=100000"], 400001),
+                           (["rigid-union", "k=3", "p=10000", "s=5"], 30004)]:
+        result = run_cli_capped(["construct", *argv])
+        assert result.returncode == 3, (argv, result.stderr)
+        assert f"n={declared} > 16384" in result.stderr, result.stderr
+        assert "MemoryError" not in result.stderr

@@ -8,13 +8,15 @@ complement-count invariant used by the table verifier.
 import networkx as nx
 import pytest
 
-from turanpack import (ConstructionRef, PreconditionError, binom2,
+from turanpack import (ConstructionRef, PreconditionError, SizeGuardError, binom2,
                        build_family, build_ref, claim_holds,
                        clique_component_sizes, complement, ex_4_cliques,
                        from_graph6, hub_join, hub_join_edges,
                        near_tight_witness, rigid_clique_union, star_graph,
                        tight_family_a, tight_family_b, to_graph6, turan_graph,
                        union_of_cliques)
+from turanpack.constructions import CLI_FAMILIES, _vertex_count
+from turanpack.graphs import MAX_EDGE_LIST_N
 
 
 def test_turan_graph_balanced():
@@ -189,6 +191,28 @@ def test_build_family_cli_names():
         build_family("turan", {"n": 9})
     with pytest.raises(PreconditionError, match="^J: undefined here"):
         build_family("J", {"p": 3, "s": 2})
+    with pytest.raises(PreconditionError, match="needs integer parameters: n"):
+        build_family("turan", {"n": "nine", "p": 3})
+
+
+def test_build_family_vertex_count_and_cap():
+    # The cap is checked on a count computed from the parameters alone, so
+    # that count must be the built graph's n in every family.
+    cases = [("turan", {"n": 9, "p": 3}), ("hub-join", {"k": 4, "n": 19, "p": 3}),
+             ("J", {"p": 3, "s": 3}), ("rigid-union", {"k": 3, "p": 4, "s": 4}),
+             ("tight-A", {"k": 3, "p": 3}), ("tight-B", {"k": 4, "p": 3, "x": 9}),
+             ("G1", {"p": 3}), ("G2", {"p": 4}), ("G3", {"p": 3}), ("G4", {"p": 3}),
+             ("G5", {"p": 5}), ("clique-block", {"r": 4, "n": 9}),
+             ("empty", {"n": 5}), ("complete", {"n": 5})]
+    assert {family for family, _ in cases} == set(CLI_FAMILIES)
+    for family, params in cases:
+        g, _ = build_family(family, params)
+        assert g.n == _vertex_count(family, params), family
+    assert build_family("empty", {"n": MAX_EDGE_LIST_N})[0].n == MAX_EDGE_LIST_N
+    with pytest.raises(SizeGuardError, match=f"n={MAX_EDGE_LIST_N + 1} > {MAX_EDGE_LIST_N}"):
+        build_family("complete", {"n": MAX_EDGE_LIST_N + 1})
+    with pytest.raises(SizeGuardError, match="tight-A has n=18000"):
+        build_family("tight-A", {"k": 2, "p": 9000})
 
 
 def test_golden_graph6_for_smallest_union():

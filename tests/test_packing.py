@@ -1,6 +1,7 @@
 """Exact disjoint-set search, its fast path, and witness verification."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +12,10 @@ from turanpack import (Graph, PackingWitness, PreconditionError,
                        independence_number, induced_subgraph,
                        naive_disjoint_independent_sets, union_of_cliques,
                        verify_witness)
-from turanpack.graphs import bits, is_clique_union
-from turanpack.packing import _alpha_capped, _find_disjoint_sets, _greedy_attempt
+from turanpack import packing
+from turanpack.graphs import bits, is_clique_union, mask_of
+from turanpack.packing import (_alpha_capped, _find_disjoint_sets, _greedy_attempt,
+                               _splits_into_two)
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 PETERSEN = from_edge_list(10, [
@@ -302,3 +305,65 @@ def test_capped_alpha_is_min_of_alpha_and_cap():
             alpha = independence_number(induced_subgraph(g, bits(comp)))
             for cap in (1, 2, 3, 5, 8):
                 assert _alpha_capped(g.adj, comp, cap, {}) == min(alpha, cap)
+
+
+# -- the tight-host endgame ------------------------------------------------------
+
+
+def split_sizes(g, mask):
+    """Every |A| over the splits of mask into independent sets A and B."""
+    members = list(bits(mask))
+    return {r for r in range(len(members) + 1)
+            for chosen in combinations(members, r)
+            if g.is_independent(mask_of(chosen))
+            and g.is_independent(mask & ~mask_of(chosen))}
+
+
+def test_two_split_helper_matches_brute_force():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 4 + 1), rng)
+        mask = rng.getrandbits(n) if n else 0
+        expected = split_sizes(g, mask)
+        for size in range(mask.bit_count() + 2):
+            assert _splits_into_two(g, mask, size) == (size in expected), (g, mask, size)
+
+
+def test_endgame_prunes_only_on_tight_hosts(monkeypatch):
+    # On a tight host the last two sets are refuted when G[avail] is not
+    # bipartite or has no split with a side of the wanted size, and searched
+    # as before otherwise; the last set is avail itself.
+    seen = []
+
+    def recording(g, mask, size):
+        seen.append((g, mask, size))
+        return _splits_into_two(g, mask, size)
+
+    monkeypatch.setattr(packing, "_splits_into_two", recording)
+    rng = random.Random(67)
+    cases = []
+    while len(cases) < 240:
+        if rng.random() < 0.5:
+            k = rng.randrange(2, 5)
+            sizes = (rng.randrange(2, 14 // k + 1),) * k
+        else:
+            # the last two sizes differ: the subset sum must reach sizes[-2]
+            sizes = tuple(sorted((rng.randrange(1, 5) for _ in range(rng.randrange(2, 5))),
+                                 reverse=True))
+            if sizes[-2] == sizes[-1] or sum(sizes) > 14:
+                continue
+        n = sum(sizes)
+        g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 3 + 1), rng)
+        if not is_clique_union(g):
+            cases.append((g, sizes))
+    searched, nones = assert_prunes_only(cases)
+    assert searched >= 150 and nones >= 60, (searched, nones)
+    ways = {"not bipartite": 0, "unbalanced": 0, "balanced": 0}
+    mixed_targets = 0
+    for g, mask, size in seen[:3000]:
+        found = split_sizes(g, mask)
+        way = "not bipartite" if not found else "balanced" if size in found else "unbalanced"
+        ways[way] += 1
+        mixed_targets += 2 * size != mask.bit_count()
+    assert min(ways.values()) >= 20 and mixed_targets >= 20, (ways, mixed_targets)

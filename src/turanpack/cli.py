@@ -27,7 +27,7 @@ from .codec import parse_graph_text, to_graph6
 from .constructions import build_family, build_ref, claim_holds
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .formulas import REGIME_HUB_JOIN, FormulaQuery, binom2, dispatch_formula
-from .graphs import Graph, VertexSet
+from .graphs import MAX_EDGE_LIST_N, Graph, VertexSet
 from .oracle import exhaustive_ex_sizes
 from .packing import (EquitableColoring, PackingWitness,
                       equitable_coloring, equitable_coloring_exact,
@@ -85,7 +85,23 @@ def parse_span(value: Any, name: str) -> list[int]:
     m = re.fullmatch(r"(-?\d+):(-?\d+)", str(value))
     if not m:
         raise PreconditionError(f"{name} must be an integer or a:b range, got {value!r}")
-    return list(range(int(m.group(1)), int(m.group(2)) + 1))
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if hi - lo + 1 > MAX_EDGE_LIST_N:
+        raise SizeGuardError(
+            f"table guard: {name}={value} spans {hi - lo + 1} values > {MAX_EDGE_LIST_N}")
+    return list(range(lo, hi + 1))
+
+
+def check_int_params(what: str, params: dict[str, Any],
+                     names: tuple[str, ...] = ("n", "k", "p", "q")) -> None:
+    """Reject non-integer values of the named parameters and a negative n
+    before any arithmetic."""
+    not_int = [key for key in names
+               if key in params and not isinstance(params[key], int)]
+    if not_int:
+        raise PreconditionError(f"{what} needs integer parameters: {', '.join(not_int)}")
+    if params.get("n", 0) < 0:
+        raise PreconditionError("vertex count must be nonnegative")
 
 
 def load_config(path: str) -> dict[str, Any]:
@@ -155,6 +171,7 @@ def _query_from(pattern: str, params: dict[str, Any]) -> FormulaQuery:
     extra = set(params) - {"n", "p", "q", "k"}
     if extra:
         raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
+    check_int_params(f"pattern {pattern}", params)
     return FormulaQuery(pattern, n=params.get("n"), p=params.get("p"),
                         q=params.get("q"), k=params.get("k"))
 
@@ -187,6 +204,9 @@ def _table_rows(pattern: str, params: dict[str, Any],
     n_span = parse_span(params.get("n"), "n") if "n" in params else [None]
     p_span = parse_span(params.get("p"), "p") if "p" in params else [None]
     fixed = {key: params[key] for key in ("k", "q") if key in params}
+    if len(p_span) * len(n_span) > MAX_EDGE_LIST_N:
+        raise SizeGuardError(
+            f"table guard: {len(p_span) * len(n_span)} rows > {MAX_EDGE_LIST_N}")
     rows = []
     for p in p_span:
         for n in n_span:
@@ -289,6 +309,7 @@ def cmd_resolve(args, settings: Settings, started: float) -> int:
     params = parse_kv(args.tokens)
     if "p" not in params:
         raise PreconditionError("resolve needs p=<int>")
+    check_int_params("resolve", params, ("p",))
     g = read_graph(args)
     outcome = resolve(g, params["p"], budget=settings.budget,
                       guard_n=settings.guard_n)
@@ -309,6 +330,7 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
     missing = [key for key in ("k", "p") if key not in params]
     if missing:
         raise PreconditionError(f"pack needs {', '.join(missing)}=<int>")
+    check_int_params("pack", params, ("k", "p"))
     mode = params.get("mode", "independent")
     if mode not in ("independent", "clique"):
         raise PreconditionError("mode must be independent or clique")
@@ -436,6 +458,7 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
     params = parse_kv(args.tokens[1:])
     if "n" not in params:
         raise PreconditionError("oracle needs n=<int>")
+    check_int_params(f"pattern {pattern}", params)
     try:
         sizes = pattern_sizes(pattern, params)
     except KeyError as exc:
@@ -461,6 +484,7 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
     missing = [key for key in ("k", "p") if key not in params]
     if missing:
         raise PreconditionError(f"probe needs {', '.join(missing)}=<int>")
+    check_int_params("probe", params, ("k", "p", "trials", "window"))
     if which == "5.1":
         report = probe_dichotomy(params["k"], params["p"],
                                  trials=params.get("trials", 200),
@@ -507,6 +531,7 @@ def cmd_color(args, settings: Settings, started: float) -> int:
     params = parse_kv(args.tokens)
     if "classes" not in params:
         raise PreconditionError("color needs classes=<int>")
+    check_int_params("color", params, ("classes",))
     g = read_graph(args)
     classes = params["classes"]
     parameters = {"classes": classes, "graph6": to_graph6(g)}

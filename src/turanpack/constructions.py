@@ -197,6 +197,11 @@ def _flip_side(side: str | None) -> str | None:
 
 def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
     """Resolve a ConstructionRef into a graph plus its descriptor."""
+    if ref.family not in CLI_FAMILIES:
+        raise PreconditionError(f"unknown construction family {ref.family!r}")
+    n = _vertex_count(ref.family, ref.params)
+    if n > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"construct guard: {ref.family} has n={n} > {MAX_EDGE_LIST_N}")
     base, claim, side = _build_base(ref.family, ref.params)
     g = complement(base) if ref.complemented else base
     if ref.complemented:
@@ -289,9 +294,6 @@ def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescript
     if not_int:
         raise PreconditionError(
             f"family {family} needs integer parameters: {', '.join(not_int)}")
-    n = _vertex_count(family, params)
-    if n > MAX_EDGE_LIST_N:
-        raise SizeGuardError(f"construct guard: {family} has n={n} > {MAX_EDGE_LIST_N}")
     try:
         return build_ref(ConstructionRef(family, params))
     except PreconditionError as exc:

@@ -1,31 +1,21 @@
 """Brute-force references.
 
 Everything here is deliberately independent of the formula and packing
-modules: the exhaustive extremal search enumerates every graph on n
-vertices, and the naive packing search enumerates every independent set.
-Both exist to check the fast paths, not to be fast themselves.
+modules: the exhaustive extremal search is an exact minimum-blocker search
+over every placement of the pattern on n labeled vertices, and the naive
+packing search enumerates every independent set. Both exist to check the
+fast paths, not to be fast themselves.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 
-from .errors import PreconditionError, SizeGuardError
+from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .graphs import Graph, VertexSet, from_edge_list
 from .packing import PackingWitness
 
 DEFAULT_ORACLE_GUARD = 7
-_CHUNK = 1 << 22
-
-
-@functools.cache
-def _popcount16():
-    """Bit counts of every 16-bit value, built on first use so that importing
-    the package does not load numpy."""
-    import numpy as np
-
-    return np.array([bin(x).count("1") for x in range(1 << 16)], dtype=np.uint8)
 
 
 def _edge_index(n: int) -> dict[tuple[int, int], int]:
@@ -86,11 +76,17 @@ def _placement_masks(n: int, sizes: tuple[int, ...]) -> list[int]:
 def exhaustive_ex(n: int, k: int, p: int,
                   guard: int | None = None) -> tuple[int, Graph]:
     """Maximum edge count over all n-vertex graphs containing no k disjoint
-    p-cliques, found by scanning all 2^C(n,2) graphs, together with one
-    extremal example.
+    p-cliques, together with one extremal example.
 
-    The scan is vectorized and chunked but still exponential; the guard
-    (default 7) refuses hosts whose edge space exceeds the time budget.
+    A graph avoids the pattern exactly when its missing edges meet every
+    placement of it, so the value is C(n,2) minus the size of a minimum
+    blocker, found by an exact hitting-set search. The extremal graph
+    returned has the numerically smallest edge mask among all extremal
+    graphs (edge e is the e-th pair of itertools.combinations(range(n), 2)):
+    its missing edges form the numerically largest minimum blocker, which
+    is the first one the search meets, as it decides edges from the highest
+    index down and includes before it excludes. The search is still
+    exponential; the guard (default 7) refuses larger hosts.
     """
     if k < 1 or p < 1:
         raise PreconditionError("need k >= 1 and p >= 1")
@@ -109,37 +105,65 @@ def exhaustive_ex_sizes(n: int, sizes: tuple[int, ...],
             f"exhaustive search over 2^{n * (n - 1) // 2} graphs refused for "
             f"n={n} > guard {guard}; raise the guard knowingly")
     num_edges = n * (n - 1) // 2
+    full = (1 << num_edges) - 1
     placements = _placement_masks(n, tuple(sizes))
     if not placements:
         # Pattern cannot be placed at all; every graph avoids it.
-        return num_edges, _graph_of_mask(n, (1 << num_edges) - 1)
-    import numpy as np
-
-    popcount16 = _popcount16()
-    best = -1
-    best_mask = 0
-    placements_np = np.array(placements, dtype=np.uint64)
-    for lo in range(0, 1 << num_edges, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << num_edges)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        bad = np.zeros(masks.shape, dtype=bool)
-        for t in placements_np:
-            bad |= (masks & t) == t
-        good = ~bad
-        if not good.any():
-            continue
-        counts = popcount16[masks & np.uint64(0xFFFF)].astype(np.int16)
-        counts = counts + popcount16[(masks >> np.uint64(16)) & np.uint64(0xFFFF)]
-        counts = np.where(good, counts, -1)
-        at = int(np.argmax(counts))
-        if int(counts[at]) > best:
-            best = int(counts[at])
-            best_mask = lo + at
-    if best < 0:
+        return num_edges, _graph_of_mask(n, full)
+    if 0 in placements:
         raise PreconditionError(
             f"every graph on {n} vertices contains the pattern {tuple(sizes)}; "
             "the extremal number is undefined")
+    # Raise the budget from the disjoint-placement lower bound; the first
+    # success is at the minimum size, where the search returns the
+    # numerically largest minimum blocker.
+    budget = _disjoint_count(placements)
+    while (blocker := _blocker_within(placements, budget)) is None:
+        budget += 1
+    best = num_edges - blocker.bit_count()
+    best_mask = full ^ blocker
+    if best_mask.bit_count() != best or any(pl & best_mask == pl for pl in placements):
+        raise SoundnessAlarm(
+            f"oracle blocker search returned a graph that contains the pattern "
+            f"{tuple(sizes)} or miscounts its {best} edges on {n} vertices")
     return best, _graph_of_mask(n, best_mask)
+
+
+def _disjoint_count(masks: list[int]) -> int:
+    """Size of a greedy family of pairwise-disjoint masks: a lower bound on
+    the bits any set meeting every mask needs."""
+    used = count = 0
+    for m in masks:
+        if not m & used:
+            used |= m
+            count += 1
+    return count
+
+
+def _blocker_within(unhit: list[int], left: int) -> int | None:
+    """A set of at most `left` bits meeting every mask in `unhit`, or None.
+
+    Bits are decided from the highest down, including before excluding, so
+    leaves are met in decreasing numeric order and the first blocker found
+    is the largest one the search admits. A bit that meets no unhit mask is
+    never included; a minimum blocker holds no such bit, as dropping it
+    would leave a smaller blocker. So at the minimum budget the result is
+    the numerically largest minimum blocker.
+    """
+    if not unhit:
+        return 0
+    if _disjoint_count(unhit) > left:
+        return None
+    union = 0
+    for m in unhit:
+        union |= m
+    bit = 1 << (union.bit_length() - 1)
+    found = _blocker_within([m for m in unhit if not m & bit], left - 1)
+    if found is not None:
+        return found | bit
+    if bit in unhit:
+        return None  # a placement whose only undecided bit is excluded
+    return _blocker_within([m & ~bit for m in unhit], left)
 
 
 def _graph_of_mask(n: int, mask: int) -> Graph:

@@ -1,5 +1,6 @@
 """Command line surface: record shapes, formats, exit codes, settings."""
 
+import contextlib
 import csv
 import io
 import json
@@ -320,8 +321,8 @@ def test_malformed_graph_input(run_cli):
 
 
 def test_cli_import_loads_neither_numpy_nor_networkx():
-    # numpy serves only the oracle scan and networkx only a coloring
-    # fallback; every other command should not pay for importing them.
+    # The package does not use numpy, and networkx serves only a coloring
+    # fallback; no command should pay for importing them up front.
     # dataclasses (which pulls in inspect, ast and dis) is not used at all.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     check = ("import turanpack.cli, sys; "
@@ -329,6 +330,43 @@ def test_cli_import_loads_neither_numpy_nor_networkx():
     result = subprocess.run([sys.executable, "-c", check], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_oracle_runs_without_numpy():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    check = """
+import contextlib, io, json, sys
+from turanpack import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["oracle", "3K2", "n=7"])
+assert code == 0 and json.loads(out.getvalue())["payload"]["value"] == 11, code
+assert "numpy" not in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", check], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+def test_non_integer_or_negative_parameters_exit_2(run_cli):
+    # these once escaped as TypeError/ValueError tracebacks (exit 1)
+    for argv, message in [
+            (["formula", "4Kp", "n=abc", "p=3"], "needs integer parameters: n"),
+            (["formula", "4Kp", "n=-3", "p=3"], "vertex count must be nonnegative"),
+            (["formula", "Kp", "n=-1", "p=3"], "vertex count must be nonnegative"),
+            (["oracle", "3K2", "n=abc"], "needs integer parameters: n"),
+            (["oracle", "KpKq", "n=6", "p=2", "q=abc"], "needs integer parameters: q"),
+            (["table", "4Kp", "p=3", "k=x", "n=12:13"], "needs integer parameters: k"),
+            (["table", "4Kp", "p=3", "n=-2:2"], "vertex count must be nonnegative"),
+            (["pack", "k=abc", "p=2", "--input", "-"], "pack needs integer parameters: k"),
+            (["resolve", "p=abc", "--input", "-"], "resolve needs integer parameters: p"),
+            (["color", "classes=abc", "--input", "-"], "needs integer parameters: classes"),
+            (["probe", "5.1", "k=2", "p=3", "trials=abc"], "needs integer parameters: trials"),
+            (["probe", "5.2", "k=4", "p=3", "window=abc"], "needs integer parameters: window")]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv, stdin=C5_TEXT)
+        assert code == 2, argv
+        assert out == "" and message in err.getvalue(), (argv, err.getvalue())
 
 
 def run_cli_capped(argv):
@@ -366,3 +404,23 @@ def test_huge_construct_hits_the_guard_before_allocating():
         assert result.returncode == 3, (argv, result.stderr)
         assert f"n={declared} > 16384" in result.stderr, result.stderr
         assert "MemoryError" not in result.stderr
+
+
+def test_huge_table_span_hits_the_guard_before_allocating():
+    # table once built list(range(a, b + 1)) for any span: n=1:100000000
+    # ran for minutes and a wider span ended in MemoryError.
+    for argv, message in [
+            (["4Kp", "p=3", "n=1:100000000"], "n=1:100000000 spans 100000000 values > 16384"),
+            (["4Kp", "p=3", "n=1:10000000000000"], "spans 10000000000000 values > 16384"),
+            (["4Kp", "p=1:200", "n=1:200"], "40000 rows > 16384"),
+            # --verify rebuilds each row's construction at the row's n
+            (["4Kp", "p=3", "n=100000000000:100000000010", "--verify"],
+             "has n=100000000000 > 16384")]:
+        result = run_cli_capped(["table", *argv])
+        assert result.returncode == 3, (argv, result.stderr)
+        assert message in result.stderr, result.stderr
+        assert "MemoryError" not in result.stderr
+    # the largest allowed span still renders
+    result = run_cli_capped(["table", "Kp", "p=3", "n=0:16383", "--format", "csv"])
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 1 + 16384

@@ -187,6 +187,8 @@ def test_build_family_cli_names():
     assert g.edge_count() == binom2(4)
     with pytest.raises(PreconditionError, match="unknown construction"):
         build_family("mystery", {"n": 5})
+    with pytest.raises(PreconditionError, match="unknown construction"):
+        build_ref(ConstructionRef("mystery", {}))
     with pytest.raises(PreconditionError, match="needs parameters"):
         build_family("turan", {"n": 9})
     with pytest.raises(PreconditionError, match="^J: undefined here"):

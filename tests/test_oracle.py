@@ -1,21 +1,25 @@
 """Exhaustive small-host oracle against a from-scratch reference."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
-from turanpack import (PreconditionError, SizeGuardError, binom2,
-                       exhaustive_ex, exhaustive_ex_sizes, from_edge_list,
-                       naive_contains_clique_union,
+from turanpack import (PreconditionError, SizeGuardError, SoundnessAlarm,
+                       binom2, exhaustive_ex, exhaustive_ex_sizes,
+                       from_edge_list, naive_contains_clique_union,
                        naive_disjoint_independent_sets,
-                       naive_independent_sets, union_of_cliques,
+                       naive_independent_sets, to_graph6, union_of_cliques,
                        verify_witness)
-from turanpack.oracle import _placement_masks
+from turanpack.oracle import _blocker_within, _placement_masks
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.txt"
 
 
 def reference_ex(n, sizes):
     """Pure-itertools recount: max edges over all graphs on n labeled
-    vertices containing no disjoint union of cliques of the given sizes."""
+    vertices containing no disjoint union of cliques of the given sizes,
+    and the smallest edge mask attaining it."""
     pairs = list(itertools.combinations(range(n), 2))
     placements = []
     for groups in distinct_placements(n, sizes):
@@ -25,14 +29,42 @@ def reference_ex(n, sizes):
             if take:
                 mask |= 1 << i
         placements.append(mask)
-    best = -1
+    best, best_mask = -1, None
     for mask in range(1 << len(pairs)):
         if any(mask & pl == pl for pl in placements):
             continue
-        best = max(best, bin(mask).count("1"))
+        count = bin(mask).count("1")
+        if count > best:
+            best, best_mask = count, mask
     if best < 0:
         raise PreconditionError("pattern unavoidable")
-    return best
+    return best, best_mask
+
+
+def graph6_of_mask(n, mask):
+    pairs = itertools.combinations(range(n), 2)
+    return to_graph6(from_edge_list(
+        n, [pair for e, pair in enumerate(pairs) if mask >> e & 1]))
+
+
+def size_tuples(n):
+    """Every non-increasing tuple of positive sizes with sum <= n + 1."""
+    def rec(room, largest):
+        yield ()
+        for first in range(min(room, largest), 0, -1):
+            for rest in rec(room - first, first):
+                yield (first,) + rest
+    return [sizes for sizes in rec(n + 1, n + 1) if sizes]
+
+
+def oracle_line(n, sizes):
+    """The oracle's answer in the golden file's notation."""
+    try:
+        value, extremal = exhaustive_ex_sizes(n, sizes)
+    except PreconditionError as exc:
+        assert "contains the pattern" in str(exc)
+        return "unavoidable"
+    return f"{value} {to_graph6(extremal)}"
 
 
 def distinct_placements(n, sizes):
@@ -54,14 +86,56 @@ def distinct_placements(n, sizes):
 
 
 def test_matches_reference_on_tiny_hosts():
+    # the reference scans masks in increasing order, so its first maximum is
+    # the smallest mask; the oracle must return that same graph
     for n in range(0, 6):
+        for sizes in size_tuples(n):
+            try:
+                value, mask = reference_ex(n, sizes)
+                want = f"{value} {graph6_of_mask(n, mask)}"
+            except PreconditionError:
+                want = "unavoidable"
+            assert oracle_line(n, sizes) == want, (n, sizes)
         for k, p in [(1, 2), (1, 3), (2, 2)]:
-            if k * p > n:
+            if k * p <= n:
+                extremal = exhaustive_ex(n, k, p)[1]
+                assert naive_contains_clique_union(extremal, k, p) is False
+
+
+def test_oracle_matches_the_golden_file():
+    golden = {}
+    for line in GOLDEN.read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        n, sizes, answer = line.split(" ", 2)
+        golden[int(n), tuple(int(s) for s in sizes.split(","))] = answer
+    assert sorted(golden) == sorted((n, sizes) for n in range(8)
+                                    for sizes in size_tuples(n))
+    got = {case: oracle_line(*case) for case in golden}
+    wrong = {case: answer for case, answer in got.items() if answer != golden[case]}
+    assert not wrong, wrong
+
+
+def test_budgeted_search_is_exact_at_the_minimum():
+    # the blocker search must succeed at budget tau = C(n,2) - ex and fail
+    # just below it; a prune one too eager would only succeed at tau + 1
+    for n in range(2, 8):
+        for sizes in size_tuples(n):
+            placements = _placement_masks(n, sizes)
+            if not placements or 0 in placements:
                 continue
-            got, extremal = exhaustive_ex(n, k, p)
-            assert got == reference_ex(n, (p,) * k), (n, k, p)
-            assert extremal.n == n and extremal.edge_count() == got
-            assert naive_contains_clique_union(extremal, k, p) is False
+            tau = binom2(n) - exhaustive_ex_sizes(n, sizes)[0]
+            assert _blocker_within(placements, tau - 1) is None, (n, sizes)
+            assert _blocker_within(placements, tau).bit_count() == tau, (n, sizes)
+
+
+def test_bad_blocker_raises_soundness_alarm(monkeypatch):
+    from turanpack import oracle
+
+    # an empty blocker leaves every placement inside the returned graph
+    monkeypatch.setattr(oracle, "_blocker_within", lambda placements, left: 0)
+    with pytest.raises(SoundnessAlarm, match="contains the pattern"):
+        exhaustive_ex(6, 3, 2)
 
 
 def test_spec_level_values():

@@ -1,42 +1,64 @@
 """Extremal edge counts, constructions and exact searches for patterns of
 vertex-disjoint cliques, plus the partition-shifting engine behind the
-four-block dichotomy and equitable-coloring utilities."""
+four-block dichotomy and equitable-coloring utilities.
+
+Importing the package loads no submodule: each public name loads its
+module on first access (PEP 562), so a command pays only for what it runs.
+"""
+
+from importlib import import_module as _import_module
 
 from ._version import __version__
-from .codec import from_graph6, parse_graph_text, to_graph6
-from .constructions import (CLI_FAMILIES, ConstructionDescriptor, build_family,
-                            build_ref, claim_holds, hub_join,
-                            near_tight_witness, rigid_clique_union, star_graph,
-                            tight_family_a, tight_family_b, turan_graph,
-                            union_of_cliques)
-from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
-from .formulas import (ConstructionRef, FormulaQuery, TuranValue, binom2,
-                       dispatch_formula, ex_2_cliques, ex_3_cliques,
-                       ex_4_cliques, ex_k_matchings, ex_single_clique,
-                       ex_tight_k_cliques, ex_two_distinct_cliques,
-                       extend_hub_join_value, f3_min_edges, hub_join_edges,
-                       min_edges_alpha_bound, turan_edges)
-from .graphs import (Graph, VertexSet, complement, complete_graph, components,
-                     clique_component_sizes, cross_edge_count, disjoint_union,
-                     empty_graph, from_edge_list, from_edge_list_text,
-                     induced_subgraph, join, to_edge_list_text)
-from .oracle import (exhaustive_ex, exhaustive_ex_sizes,
-                     naive_contains_clique_union,
-                     naive_disjoint_independent_sets, naive_independent_sets)
-from .packing import (EquitableColoring, ExactColoringResult, PackingWitness,
-                      VerificationReport, equitable_coloring,
-                      equitable_coloring_exact, find_clique_packing,
-                      find_disjoint_independent_sets, independence_number,
-                      verify_equitable_coloring, verify_witness)
-from .probes import (DichotomyProbeReport, ValueSweepReport, ValueSweepRow,
-                     is_rigid_small_clique_union, probe_dichotomy,
-                     probe_value_sweep, random_bounded_graph)
-from .records import RECORD_VERSION, ResultRecord
-from .shifting import (AuxDigraph, EngineTrace, Move, PartitionState,
-                       StructureCertificate, accessible_path, apply_shift,
-                       build_aux_digraph, certify_k7_structure,
-                       check_blocked_domination, check_preconditions,
-                       init_partition, propose_moves, resolve, solo_neighbor,
-                       verify_certificate)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "codec": ("from_graph6", "parse_graph_text", "to_graph6"),
+    "constructions": ("CLI_FAMILIES", "ConstructionDescriptor", "build_family",
+                      "build_ref", "claim_holds", "hub_join", "near_tight_witness",
+                      "rigid_clique_union", "star_graph", "tight_family_a",
+                      "tight_family_b", "turan_graph", "union_of_cliques"),
+    "errors": ("PreconditionError", "SizeGuardError", "SoundnessAlarm"),
+    "formulas": ("ConstructionRef", "FormulaQuery", "TuranValue", "binom2",
+                 "dispatch_formula", "ex_2_cliques", "ex_3_cliques", "ex_4_cliques",
+                 "ex_k_matchings", "ex_single_clique", "ex_tight_k_cliques",
+                 "ex_two_distinct_cliques", "extend_hub_join_value", "f3_min_edges",
+                 "hub_join_edges", "min_edges_alpha_bound", "turan_edges"),
+    "graphs": ("Graph", "VertexSet", "clique_component_sizes", "complement",
+               "complete_graph", "components", "cross_edge_count", "disjoint_union",
+               "empty_graph", "from_edge_list", "from_edge_list_text",
+               "induced_subgraph", "join", "to_edge_list_text"),
+    "oracle": ("exhaustive_ex", "exhaustive_ex_sizes", "naive_contains_clique_union",
+               "naive_disjoint_independent_sets", "naive_independent_sets"),
+    "packing": ("EquitableColoring", "ExactColoringResult", "PackingWitness",
+                "VerificationReport", "equitable_coloring", "equitable_coloring_exact",
+                "find_clique_packing", "find_disjoint_independent_sets",
+                "independence_number", "verify_equitable_coloring", "verify_witness"),
+    "probes": ("DichotomyProbeReport", "ValueSweepReport", "ValueSweepRow",
+               "is_rigid_small_clique_union", "probe_dichotomy", "probe_value_sweep",
+               "random_bounded_graph"),
+    "records": ("RECORD_VERSION", "ResultRecord"),
+    "shifting": ("AuxDigraph", "EngineTrace", "Move", "PartitionState",
+                 "StructureCertificate", "accessible_path", "apply_shift",
+                 "build_aux_digraph", "certify_k7_structure", "check_blocked_domination",
+                 "check_preconditions", "init_partition", "propose_moves", "resolve",
+                 "solo_neighbor", "verify_certificate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    # Looked up in the defining module on every access and never cached
+    # here, so a name rebound there (say, by a tracing wrapper) is what
+    # callers of the package see.
+    module = _HOME.get(name)
+    if module is not None:
+        return getattr(_import_module(f"{__name__}.{module}"), name)
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

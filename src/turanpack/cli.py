@@ -8,36 +8,30 @@ a canonical order.
 
 Exit codes: 0 success, 2 precondition violation or malformed input,
 3 size-guard refusal, 4 internal soundness alarm.
+
+Each subcommand imports the modules it runs inside its handler, so a
+one-shot command loads (and, without cached bytecode, compiles) only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import re
 import sys
 import time
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ._version import __version__
-from .codec import parse_graph_text, to_graph6
-from .constructions import build_family, build_ref, claim_holds
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
-from .formulas import REGIME_HUB_JOIN, FormulaQuery, binom2, dispatch_formula
-from .graphs import MAX_EDGE_LIST_N, Graph, VertexSet
-from .oracle import exhaustive_ex_sizes
-from .packing import (EquitableColoring, PackingWitness,
-                      equitable_coloring, equitable_coloring_exact,
-                      find_clique_packing, find_disjoint_independent_sets,
-                      verify_equitable_coloring, verify_witness)
-from .probes import probe_dichotomy, probe_value_sweep
 from .records import (ResultRecord, certificate_payload, coloring_payload,
                       graph_payload, stamp, vertex_set_payload,
                       witness_payload)
-from .shifting import StructureCertificate, resolve, verify_certificate
+
+if TYPE_CHECKING:
+    from .formulas import FormulaQuery
+    from .graphs import Graph
 
 ENV_GUARD = "TURANPACK_GUARD_N"
 DEFAULT_SEED = 0
@@ -86,6 +80,8 @@ def parse_span(value: Any, name: str) -> list[int]:
     if not m:
         raise PreconditionError(f"{name} must be an integer or a:b range, got {value!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
+    from .graphs import MAX_EDGE_LIST_N
+
     if hi - lo + 1 > MAX_EDGE_LIST_N:
         raise SizeGuardError(
             f"table guard: {name}={value} spans {hi - lo + 1} values > {MAX_EDGE_LIST_N}")
@@ -144,6 +140,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
 
 
 def read_graph(args: argparse.Namespace) -> Graph:
+    from .codec import parse_graph_text
+
     if not args.input:
         raise PreconditionError("this command needs --input <path|->")
     if args.input == "-":
@@ -168,6 +166,8 @@ def _ref_dict(ref) -> dict | None:
 
 
 def _query_from(pattern: str, params: dict[str, Any]) -> FormulaQuery:
+    from .formulas import FormulaQuery
+
     extra = set(params) - {"n", "p", "q", "k"}
     if extra:
         raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
@@ -182,6 +182,8 @@ def _query_from(pattern: str, params: dict[str, Any]) -> FormulaQuery:
 def cmd_formula(args, settings: Settings, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: formula <pattern> key=value ...")
+    from .formulas import dispatch_formula
+
     pattern = args.tokens[0]
     params = parse_kv(args.tokens[1:])
     value = dispatch_formula(_query_from(pattern, params))
@@ -198,6 +200,9 @@ def cmd_formula(args, settings: Settings, started: float) -> int:
 
 def _table_rows(pattern: str, params: dict[str, Any],
                 settings: Settings) -> list[dict[str, Any]]:
+    from .formulas import REGIME_HUB_JOIN, binom2, dispatch_formula
+    from .graphs import MAX_EDGE_LIST_N
+
     if pattern == "kKp-tight":
         raise PreconditionError(
             "kKp-tight fixes n = k*p; use the formula subcommand")
@@ -220,6 +225,8 @@ def _table_rows(pattern: str, params: dict[str, Any],
                 note = CLOSED_FORM_NOTE
             verified = ""
             if settings.verify and value.construction is not None:
+                from .constructions import build_ref, claim_holds
+
                 built, desc = build_ref(value.construction)
                 if binom2(built.n) - built.edge_count() != value.value:
                     raise SoundnessAlarm(
@@ -250,6 +257,9 @@ def cmd_table(args, settings: Settings, started: float) -> int:
     params = parse_kv(args.tokens[1:])
     rows = _table_rows(pattern, params, settings)
     if settings.fmt == "csv":
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=TABLE_COLUMNS, lineterminator="\n")
         writer.writeheader()
@@ -271,6 +281,9 @@ def cmd_table(args, settings: Settings, started: float) -> int:
 def cmd_construct(args, settings: Settings, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: construct <family> key=value ...")
+    from .codec import to_graph6
+    from .constructions import build_family, claim_holds
+
     family = args.tokens[0]
     params = parse_kv(args.tokens[1:])
     g, desc = build_family(family, params)
@@ -306,6 +319,10 @@ def cmd_construct(args, settings: Settings, started: float) -> int:
 
 
 def cmd_resolve(args, settings: Settings, started: float) -> int:
+    from .codec import to_graph6
+    from .packing import PackingWitness
+    from .shifting import resolve
+
     params = parse_kv(args.tokens)
     if "p" not in params:
         raise PreconditionError("resolve needs p=<int>")
@@ -326,6 +343,10 @@ def cmd_resolve(args, settings: Settings, started: float) -> int:
 
 
 def cmd_pack(args, settings: Settings, started: float) -> int:
+    from .codec import to_graph6
+    from .packing import (find_clique_packing, find_disjoint_independent_sets,
+                          verify_witness)
+
     params = parse_kv(args.tokens)
     missing = [key for key in ("k", "p") if key not in params]
     if missing:
@@ -353,6 +374,13 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
 
 
 def _verify_one(obj: dict[str, Any]) -> tuple[bool | None, str]:
+    from .codec import parse_graph_text, to_graph6
+    from .constructions import build_family
+    from .graphs import VertexSet
+    from .packing import (EquitableColoring, PackingWitness,
+                          verify_equitable_coloring, verify_witness)
+    from .shifting import StructureCertificate, verify_certificate
+
     command = obj.get("command")
     outcome = obj.get("outcome")
     parameters = obj.get("parameters", {})
@@ -454,6 +482,8 @@ def pattern_sizes(pattern: str, params: dict[str, Any]) -> tuple[int, ...]:
 def cmd_oracle(args, settings: Settings, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: oracle <pattern> n=<int> [k=..] [p=..] [q=..]")
+    from .oracle import exhaustive_ex_sizes
+
     pattern = args.tokens[0]
     params = parse_kv(args.tokens[1:])
     if "n" not in params:
@@ -479,6 +509,8 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
 def cmd_probe(args, settings: Settings, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: probe <5.1|5.2> k=<int> p=<int> ...")
+    from .probes import probe_dichotomy, probe_value_sweep
+
     which = args.tokens[0]
     params = parse_kv(args.tokens[1:])
     missing = [key for key in ("k", "p") if key not in params]
@@ -528,6 +560,9 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
 
 
 def cmd_color(args, settings: Settings, started: float) -> int:
+    from .codec import to_graph6
+    from .packing import equitable_coloring, equitable_coloring_exact
+
     params = parse_kv(args.tokens)
     if "classes" not in params:
         raise PreconditionError("color needs classes=<int>")

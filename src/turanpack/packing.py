@@ -2,9 +2,13 @@
 
 The searches are exact and deterministic: depth-first backtracking over
 sets sorted by descending size, where sets of equal size have increasing
-minima (symmetry breaking). Two bounds cut subtrees that hold no solution,
+minima (symmetry breaking). Three rules cut subtrees that hold no solution,
 so the first witness found is the one the unbounded search would find:
 
+- dead vertices: when the sum of sizes is below n, a vertex whose
+  non-neighbours hold no independent (s - 1)-set, s the smallest size, lies
+  in no independent set of any wanted size; it is dropped from the root,
+  and too few vertices left refutes the host outright;
 - supply bound: with r sets left, a component C can give them at most
   min(|avail & C|, r * min(alpha(C), max size)) vertices, because each set
   is independent and takes at most min(alpha(C), its size) vertices of C;
@@ -33,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
-from .graphs import Graph, VertexSet, bits, complement, components
+from .graphs import MAX_EDGE_LIST_N, Graph, VertexSet, bits, complement, components
 
 DEFAULT_GUARD_N = 64
 DEFAULT_EXACT_COLORING_GUARD = 20
@@ -222,6 +226,50 @@ def _splits_into_two(g: Graph, mask: int, size: int) -> bool:
     return reach >> size & 1 == 1
 
 
+def _has_independent(adj: tuple[int, ...], mask: int, need: int) -> bool:
+    """Whether G[mask] holds an independent set of need vertices: take or
+    drop the lowest vertex, stopping at the first set found."""
+    if need <= 0:
+        return True
+    while mask.bit_count() >= need:
+        low = mask & -mask
+        mask ^= low
+        if need == 1 or _has_independent(adj, mask & ~adj[low.bit_length() - 1], need - 1):
+            return True
+    return False
+
+
+def _live_vertices(g: Graph, size: int) -> int:
+    """Mask of the vertices that lie in some independent set of size
+    vertices, i.e. whose non-neighbours hold an independent (size - 1)-set.
+
+    An index-order greedy from each vertex settles most of them, and marks
+    every member of the set it finds; the rest take the exact search.
+    """
+    adj = g.adj
+    full = g.full_mask()
+    need = size - 1
+    live = 0
+    for v in range(g.n):
+        bit = 1 << v
+        if live & bit:
+            continue
+        rest = full & ~adj[v] & ~bit
+        chosen = bit
+        free = rest
+        count = 0
+        while free and count < need:
+            low = free & -free
+            chosen |= low
+            count += 1
+            free &= ~adj[low.bit_length() - 1] & ~low
+        if count == need:
+            live |= chosen
+        elif _has_independent(adj, rest, need):
+            live |= bit
+    return live
+
+
 def _greedy_attempt(g: Graph, sizes: tuple[int, ...]) -> list[int] | None:
     """One cheap pass in degree order; a hit skips the full search."""
     order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
@@ -266,12 +314,17 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
     greedy = _greedy_attempt(g, sizes)
     if greedy is not None:
         return greedy
-    adj = g.adj
-    memo: dict = {}
-    comp_info = [(comp, _alpha_capped(adj, comp, sizes[0], memo)) for comp in components(g)]
     k = len(sizes)
     totals = [sum(sizes[i:]) for i in range(k + 1)]
     tight = totals[0] == g.n  # then every avail below has exactly totals[idx] vertices
+    root = g.full_mask()
+    if not tight:
+        root = _live_vertices(g, sizes[-1])
+        if root.bit_count() < totals[0]:
+            return None
+    adj = g.adj
+    memo: dict = {}
+    comp_info = [(comp, _alpha_capped(adj, comp, sizes[0], memo)) for comp in components(g)]
 
     def place(idx: int, avail: int, floor: int) -> list[int] | None:
         if idx == k:
@@ -320,7 +373,7 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
                 return result
         return None
 
-    return place(0, g.full_mask(), 0)
+    return place(0, root, 0)
 
 
 def find_disjoint_independent_sets(g: Graph, k: int, p: int,
@@ -469,6 +522,8 @@ def equitable_coloring(g: Graph, num_classes: int) -> EquitableColoring:
     """
     if num_classes < 1:
         raise PreconditionError("need at least one class")
+    if num_classes > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"color guard: classes={num_classes} > {MAX_EDGE_LIST_N}")
     if g.max_degree() >= num_classes:
         raise PreconditionError(
             f"equitable_coloring needs max degree < classes "
@@ -557,6 +612,8 @@ def equitable_coloring_exact(g: Graph, r: int,
     """
     if r < 1:
         raise PreconditionError("need at least one class")
+    if r > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"color guard: classes={r} > {MAX_EDGE_LIST_N}")
     guard = DEFAULT_EXACT_COLORING_GUARD if guard_n is None else guard_n
     if g.n > guard:
         raise SizeGuardError(f"equitable_coloring_exact guard: n={g.n} > {guard}")

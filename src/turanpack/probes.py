@@ -17,7 +17,7 @@ from .codec import to_graph6
 from .errors import PreconditionError, SizeGuardError
 from .formulas import binom2, ex_4_cliques, hub_join_edges
 from .constructions import hub_join, rigid_clique_union
-from .graphs import Graph, complement, components, from_edge_list
+from .graphs import MAX_EDGE_LIST_N, Graph, complement, components, from_edge_list
 from .packing import find_clique_packing, find_disjoint_independent_sets, verify_witness
 
 SAMPLER_ATTEMPTS = 5000
@@ -94,6 +94,8 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
     """
     if p < 3 or k < 2 or trials < 1:
         raise PreconditionError("need p >= 3, k >= 2, trials >= 1")
+    if trials > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"probe guard: trials={trials} > {MAX_EDGE_LIST_N}")
     rng = random.Random(seed)
     report = DichotomyProbeReport(k=k, p=p, trials=trials, seed=seed)
     for _ in range(trials):
@@ -163,6 +165,8 @@ def probe_value_sweep(k: int, p: int, window: int | None = None,
             f"conjecture needs (k-1)p >= k^2-3k+3; p={p} is too small for k={k}")
     if window is None:
         window = p + 2
+    if window > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"probe guard: window={window} > {MAX_EDGE_LIST_N}")
     report = ValueSweepReport(k=k, p=p)
     first_lo = k * p + k * k - 3 * k + 1
     first_hi = (2 * k - 1) * p - 2

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ._version import __version__
-from .codec import to_graph6
-from .graphs import Graph, VertexSet
-from .packing import EquitableColoring, PackingWitness
-from .shifting import StructureCertificate
+
+if TYPE_CHECKING:  # annotations only; importing them would load the search layers
+    from .graphs import Graph, VertexSet
+    from .packing import EquitableColoring, PackingWitness
+    from .shifting import StructureCertificate
 
 RECORD_VERSION = 1
 
@@ -84,4 +85,6 @@ def coloring_payload(coloring: EquitableColoring) -> dict[str, Any]:
 
 
 def graph_payload(g: Graph) -> dict[str, Any]:
+    from .codec import to_graph6
+
     return {"graph6": to_graph6(g), "n": g.n, "edges": g.edge_count()}

@@ -424,3 +424,118 @@ def test_huge_table_span_hits_the_guard_before_allocating():
     result = run_cli_capped(["table", "Kp", "p=3", "n=0:16383", "--format", "csv"])
     assert result.returncode == 0, result.stderr
     assert len(result.stdout.splitlines()) == 1 + 16384
+
+
+def test_huge_counts_hit_the_guard_before_looping(tmp_path):
+    # The class count, the trial count and the sweep window once went
+    # straight into loops and allocations: each of these ran until killed.
+    path = tmp_path / "c5.txt"
+    path.write_text(C5_TEXT)
+    for argv, message in [
+            (["color", "classes=100000000", "--input", str(path)], "classes=100000000 > 16384"),
+            (["color", "classes=100000000", "exact=1", "--input", str(path)],
+             "classes=100000000 > 16384"),
+            (["probe", "5.1", "k=2", "p=3", "trials=100000000"], "trials=100000000 > 16384"),
+            (["probe", "5.2", "k=4", "p=3", "window=100000000"], "window=100000000 > 16384")]:
+        result = run_cli_capped(argv)
+        assert result.returncode == 3, (argv, result.stderr)
+        assert message in result.stderr, result.stderr
+        assert result.stdout == ""
+
+
+# -- each command loads only what it runs ---------------------------------------
+
+
+def modules_loaded_by(argv):
+    """The turanpack modules one CLI command loads, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    script = """
+import contextlib, io, json, sys
+from turanpack import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("turanpack"))]))
+"""
+    result = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout)
+    assert code == 0, (argv, result.stderr)
+    return {name.partition(".")[2] for name in modules}
+
+
+def test_formula_loads_no_graph_layer():
+    loaded = modules_loaded_by(["formula", "4Kp", "n=20", "p=3"])
+    assert "formulas" in loaded
+    assert not {"codec", "graphs", "packing", "shifting", "constructions", "oracle",
+                "probes"} & loaded, loaded
+
+
+def test_oracle_and_graph_commands_skip_unused_layers(tmp_path):
+    loaded = modules_loaded_by(["oracle", "3K2", "n=7"])
+    assert "oracle" in loaded and not {"shifting", "probes"} & loaded, loaded
+    path = tmp_path / "c5.txt"
+    path.write_text(C5_TEXT)
+    for argv in (["pack", "k=2", "p=2", "--input", str(path)],
+                 ["color", "classes=3", "--input", str(path)]):
+        loaded = modules_loaded_by(argv)
+        assert "packing" in loaded, (argv, loaded)
+        assert not {"shifting", "oracle", "probes"} & loaded, (argv, loaded)
+
+
+PUBLIC_NAMES = [
+    "AuxDigraph", "CLI_FAMILIES", "ConstructionDescriptor", "ConstructionRef",
+    "DichotomyProbeReport", "EngineTrace", "EquitableColoring", "ExactColoringResult",
+    "FormulaQuery", "Graph", "Move", "PackingWitness", "PartitionState",
+    "PreconditionError", "RECORD_VERSION", "ResultRecord", "SizeGuardError",
+    "SoundnessAlarm", "StructureCertificate", "TuranValue", "ValueSweepReport",
+    "ValueSweepRow", "VerificationReport", "VertexSet", "accessible_path",
+    "apply_shift", "binom2", "build_aux_digraph", "build_family", "build_ref",
+    "certify_k7_structure", "check_blocked_domination", "check_preconditions",
+    "claim_holds", "clique_component_sizes", "codec", "complement", "complete_graph",
+    "components", "constructions", "cross_edge_count", "disjoint_union",
+    "dispatch_formula", "empty_graph", "equitable_coloring", "equitable_coloring_exact",
+    "errors", "ex_2_cliques", "ex_3_cliques", "ex_4_cliques", "ex_k_matchings",
+    "ex_single_clique", "ex_tight_k_cliques", "ex_two_distinct_cliques",
+    "exhaustive_ex", "exhaustive_ex_sizes", "extend_hub_join_value", "f3_min_edges",
+    "find_clique_packing", "find_disjoint_independent_sets", "formulas",
+    "from_edge_list", "from_edge_list_text", "from_graph6", "graphs", "hub_join",
+    "hub_join_edges", "independence_number", "induced_subgraph", "init_partition",
+    "is_rigid_small_clique_union", "join", "min_edges_alpha_bound",
+    "naive_contains_clique_union", "naive_disjoint_independent_sets",
+    "naive_independent_sets", "near_tight_witness", "oracle", "packing",
+    "parse_graph_text", "probe_dichotomy", "probe_value_sweep", "probes",
+    "propose_moves", "random_bounded_graph", "records", "resolve",
+    "rigid_clique_union", "shifting", "solo_neighbor", "star_graph", "tight_family_a",
+    "tight_family_b", "to_edge_list_text", "to_graph6", "turan_edges", "turan_graph",
+    "union_of_cliques", "verify_certificate", "verify_equitable_coloring",
+    "verify_witness"]
+
+
+def test_lazy_package_keeps_its_public_names():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    check = """
+import json, sys, types
+import turanpack
+assert [m for m in sys.modules if m.startswith("turanpack.")] == ["turanpack._version"]
+names = list(turanpack.__all__)
+assert set(names) <= set(dir(turanpack))
+try:
+    turanpack.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute did not raise")
+scope = {}
+exec("from turanpack import *", scope)
+missing = [name for name in names if name not in scope]
+assert not missing, missing
+assert isinstance(scope["packing"], types.ModuleType)
+assert scope["resolve"] is sys.modules["turanpack.shifting"].resolve
+print(json.dumps(names))
+"""
+    result = subprocess.run([sys.executable, "-c", check], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 101

@@ -10,12 +10,12 @@ from turanpack import (Graph, PackingWitness, PreconditionError,
                        components, disjoint_union, find_clique_packing,
                        find_disjoint_independent_sets, from_edge_list,
                        independence_number, induced_subgraph,
-                       naive_disjoint_independent_sets, union_of_cliques,
-                       verify_witness)
+                       naive_disjoint_independent_sets, star_graph,
+                       union_of_cliques, verify_witness)
 from turanpack import packing
 from turanpack.graphs import bits, is_clique_union, mask_of
 from turanpack.packing import (_alpha_capped, _find_disjoint_sets, _greedy_attempt,
-                               _splits_into_two)
+                               _has_independent, _live_vertices, _splits_into_two)
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 PETERSEN = from_edge_list(10, [
@@ -367,3 +367,114 @@ def test_endgame_prunes_only_on_tight_hosts(monkeypatch):
         ways[way] += 1
         mixed_targets += 2 * size != mask.bit_count()
     assert min(ways.values()) >= 20 and mixed_targets >= 20, (ways, mixed_targets)
+
+
+# -- dead vertices at the root ----------------------------------------------------
+
+
+def has_independent_brute(g, mask, need):
+    return any(g.is_independent(mask_of(chosen))
+               for chosen in combinations(bits(mask), need))
+
+
+def test_independent_set_helper_matches_brute_force():
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+        mask = rng.getrandbits(n) if n else 0
+        for need in range(mask.bit_count() + 2):
+            assert _has_independent(g.adj, mask, need) == has_independent_brute(g, mask, need), \
+                (g, mask, need)
+
+
+def test_live_vertices_are_those_in_some_independent_set():
+    rng = random.Random(73)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+        for size in range(1, 5):
+            expected = 0
+            for v in range(n):
+                rest = g.full_mask() & ~g.adj[v] & ~(1 << v)
+                if has_independent_brute(g, rest, size - 1):
+                    expected |= 1 << v
+            assert _live_vertices(g, size) == expected, (g, size)
+
+
+def planted_clique_and_star(rng, a, b, flips):
+    """K_a + K_(1,b) with its labels shuffled and a few pairs flipped."""
+    g = disjoint_union(complete_graph(a), star_graph(b))
+    edges = set(g.edges())
+    for _ in range(flips):
+        edges ^= {tuple(sorted(rng.sample(range(g.n), 2)))}
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_dead_vertex_rule_prunes_only_on_slack_hosts(monkeypatch):
+    # Slack hosts (sum of sizes below n): vertices in no independent set of
+    # the smallest size leave the root, and too few left refutes the host.
+    # Tight hosts are mixed in: the rule must not run on them.
+    calls = []
+
+    def recording(g, size):
+        live = _live_vertices(g, size)
+        calls.append((g, size, live))
+        return live
+
+    monkeypatch.setattr(packing, "_live_vertices", recording)
+    rng = random.Random(79)
+    cases = []
+    while len(cases) < 400:
+        shape = rng.random()
+        slack = rng.randrange(1, 5) if rng.random() < 0.9 else 0
+        if shape < 0.3:
+            # equal sizes on a planted clique plus star
+            k = rng.randrange(2, 5)
+            sizes = (rng.randrange(2, 12 // k + 1),) * k
+            n = sum(sizes) + slack
+            a = rng.randrange(2, n - 1)
+            g = planted_clique_and_star(rng, a, n - a - 1, rng.randrange(0, 3))
+        else:
+            if shape < 0.65:
+                k = rng.randrange(2, 5)
+                sizes = (rng.randrange(2, 12 // k + 1),) * k
+            else:
+                sizes = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(2, 5)))
+                if len(set(sizes)) == 1 or sum(sizes) > 12:
+                    continue
+            n = sum(sizes) + slack
+            g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 2 + 1), rng)
+        if not is_clique_union(g):
+            cases.append((g, sizes))
+    searched, nones = assert_prunes_only(cases)
+    assert searched >= 150 and nones >= 60, (searched, nones)
+    # The rule runs once per search on a slack host, after the greedy pass failed.
+    slack_searches = [(g, sizes) for g, sizes in cases if sum(sizes) < g.n
+                      and _greedy_attempt(g, tuple(sorted(sizes, reverse=True))) is None]
+    assert [(g, min(sizes)) for g, sizes in slack_searches] == [(g, size) for g, size, _ in calls]
+    assert len(slack_searches) < searched  # some searches were on tight hosts
+    dead = refuted = exact_fit = 0
+    for (g, sizes), (_, _, live) in zip(slack_searches, calls):
+        dead += live != g.full_mask()
+        refuted += live.bit_count() < sum(sizes)
+        exact_fit += live.bit_count() == sum(sizes) and reference_core(g, sizes) is not None
+    assert dead >= 50 and refuted >= 20 and exact_fit >= 3, (dead, refuted, exact_fit)
+
+
+def test_sporadic_blocker_is_refuted_at_the_root(monkeypatch):
+    # G4's host K8 + K_(1,7): the hub is dead (its non-neighbours form a
+    # clique), and then the supply bound gives 4 + 7 < 12 at the root.
+    supply_bound = packing._supply_bound
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return supply_bound(*args)
+
+    monkeypatch.setattr(packing, "_supply_bound", counting)
+    g = disjoint_union(complete_graph(8), star_graph(7))
+    assert _find_disjoint_sets(g, (3, 3, 3, 3), None) is None
+    assert len(calls) <= 1

@@ -10,10 +10,13 @@ fast paths, not to be fast themselves.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .graphs import Graph, VertexSet, from_edge_list
-from .packing import PackingWitness
+
+if TYPE_CHECKING:  # loaded only by the naive packing search that returns one
+    from .packing import PackingWitness
 
 DEFAULT_ORACLE_GUARD = 7
 
@@ -207,6 +210,8 @@ def naive_disjoint_independent_sets(g: Graph, k: int, p: int) -> PackingWitness 
     found = pick(0, 0, [])
     if found is None:
         return None
+    from .packing import PackingWitness
+
     return PackingWitness(tuple(VertexSet(g.n, m) for m in found))
 
 

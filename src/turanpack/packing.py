@@ -2,16 +2,22 @@
 
 The searches are exact and deterministic: depth-first backtracking over
 sets sorted by descending size, where sets of equal size have increasing
-minima (symmetry breaking). Three rules cut subtrees that hold no solution,
+minima (symmetry breaking). Four rules cut subtrees that hold no solution,
 so the first witness found is the one the unbounded search would find:
 
 - dead vertices: when the sum of sizes is below n, a vertex whose
   non-neighbours hold no independent (s - 1)-set, s the smallest size, lies
   in no independent set of any wanted size; it is dropped from the root,
   and too few vertices left refutes the host outright;
+- clique cover: on the same hosts, the live vertices are then covered
+  greedily by disjoint cliques; k independent sets take at most
+  min(|Q|, k) vertices of a clique Q, so a cover summing below the
+  vertices wanted refutes the host at the root;
 - supply bound: with r sets left, a component C can give them at most
   min(|avail & C|, r * min(alpha(C), max size)) vertices, because each set
   is independent and takes at most min(alpha(C), its size) vertices of C;
+  the capped alpha is one branching search that stops once it reaches the
+  cap, so a component's alpha is searched only up to the largest size;
 - leftover-vertex budget: once a set of the smallest size starts at vertex
   f, it and every later set (all of that size, with larger minima) use only
   vertices >= f, so f is tried only while the available vertices >= f
@@ -74,12 +80,22 @@ class ExactColoringResult(NamedTuple):
 # -- independence number -----------------------------------------------------
 
 
-def _alpha_mask(adj: tuple[int, ...], mask: int, memo: dict) -> int:
-    if mask == 0:
+def _alpha_mask(adj: tuple[int, ...], mask: int, memo: dict,
+                cap: int | None = None) -> int:
+    """min(alpha(G[mask]), cap), cap defaulting to |mask|.
+
+    Branches on a vertex of maximum degree, taking it first, and returns
+    cap as soon as a branch reaches it; a mask with no edges counts whole.
+    memo holds exact values only: a sub-call that returns less than its cap
+    is exact, and an early exit is never stored.
+    """
+    if cap is None:
+        cap = mask.bit_count()
+    if mask == 0 or cap <= 0:
         return 0
     cached = memo.get(mask)
     if cached is not None:
-        return cached
+        return min(cached, cap)
     best_v = -1
     best_deg = -1
     for v in bits(mask):
@@ -90,11 +106,15 @@ def _alpha_mask(adj: tuple[int, ...], mask: int, memo: dict) -> int:
     if best_deg == 0:
         result = mask.bit_count()
     else:
-        without = _alpha_mask(adj, mask & ~(1 << best_v), memo)
-        taking = 1 + _alpha_mask(adj, mask & ~(adj[best_v] | (1 << best_v)), memo)
+        taking = 1 + _alpha_mask(adj, mask & ~(adj[best_v] | (1 << best_v)), memo, cap - 1)
+        if taking >= cap:
+            return cap
+        without = _alpha_mask(adj, mask & ~(1 << best_v), memo, cap)
+        if without >= cap:
+            return cap
         result = max(without, taking)
     memo[mask] = result
-    return result
+    return min(result, cap)
 
 
 def _alpha_capped(adj: tuple[int, ...], mask: int, cap: int, memo: dict) -> int:
@@ -109,13 +129,12 @@ def _alpha_capped(adj: tuple[int, ...], mask: int, cap: int, memo: dict) -> int:
             if count == cap:
                 return cap
             free &= ~adj[v]
-    return min(cap, _alpha_mask(adj, mask, memo))
+    return _alpha_mask(adj, mask, memo, cap)
 
 
 def independence_number(g: Graph, guard_n: int | None = None) -> int:
-    """Exact independence number: the sum over components of a memoized
-    branching search (drop or take a vertex of maximum degree; a
-    mask with no edges counts whole)."""
+    """Exact independence number: the sum over components of the memoized
+    branching search of _alpha_mask, uncapped."""
     guard = DEFAULT_GUARD_N if guard_n is None else guard_n
     if g.n > guard:
         raise SizeGuardError(f"independence_number guard: n={g.n} > {guard}")
@@ -270,6 +289,28 @@ def _live_vertices(g: Graph, size: int) -> int:
     return live
 
 
+def _clique_cover_bound(adj: tuple[int, ...], mask: int, k: int) -> int:
+    """Upper bound on the vertices k disjoint independent sets take from
+    mask: G[mask] is covered greedily by disjoint cliques, each seeded and
+    grown by largest degree in G[mask] first, and a clique Q gives at most
+    min(|Q|, k) vertices, since each independent set takes at most one."""
+    order = sorted(bits(mask), key=lambda v: (-(adj[v] & mask).bit_count(), v))
+    left = mask
+    total = 0
+    for i, v in enumerate(order):
+        if not left >> v & 1:
+            continue
+        clique = 0
+        cand = left
+        for u in order[i:]:
+            if cand >> u & 1:
+                clique |= 1 << u
+                cand &= adj[u]
+        left &= ~clique
+        total += min(clique.bit_count(), k)
+    return total
+
+
 def _greedy_attempt(g: Graph, sizes: tuple[int, ...]) -> list[int] | None:
     """One cheap pass in degree order; a hit skips the full search."""
     order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
@@ -317,12 +358,12 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
     k = len(sizes)
     totals = [sum(sizes[i:]) for i in range(k + 1)]
     tight = totals[0] == g.n  # then every avail below has exactly totals[idx] vertices
+    adj = g.adj
     root = g.full_mask()
     if not tight:
         root = _live_vertices(g, sizes[-1])
-        if root.bit_count() < totals[0]:
+        if root.bit_count() < totals[0] or _clique_cover_bound(adj, root, k) < totals[0]:
             return None
-    adj = g.adj
     memo: dict = {}
     comp_info = [(comp, _alpha_capped(adj, comp, sizes[0], memo)) for comp in components(g)]
 

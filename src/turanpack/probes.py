@@ -53,6 +53,13 @@ def random_bounded_graph(n: int, m: int, max_deg: int,
         f"max_deg={max_deg}")
 
 
+def _guard_largest_host(n: int) -> None:
+    """Refuse a probe whose largest host has more than MAX_EDGE_LIST_N
+    vertices, before any host is sampled or built."""
+    if n > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"probe guard: largest host n={n} > {MAX_EDGE_LIST_N}")
+
+
 def is_rigid_small_clique_union(g: Graph, k: int, s: int) -> bool:
     """Whether g is exactly (s/(k-1)) copies of the (2k-1)-clique plus
     isolated vertices, with the forced edge count."""
@@ -96,6 +103,7 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
         raise PreconditionError("need p >= 3, k >= 2, trials >= 1")
     if trials > MAX_EDGE_LIST_N:
         raise SizeGuardError(f"probe guard: trials={trials} > {MAX_EDGE_LIST_N}")
+    _guard_largest_host((2 * k - 1) * p - 2)
     rng = random.Random(seed)
     report = DichotomyProbeReport(k=k, p=p, trials=trials, seed=seed)
     for _ in range(trials):
@@ -167,6 +175,7 @@ def probe_value_sweep(k: int, p: int, window: int | None = None,
         window = p + 2
     if window > MAX_EDGE_LIST_N:
         raise SizeGuardError(f"probe guard: window={window} > {MAX_EDGE_LIST_N}")
+    _guard_largest_host((2 * k - 1) * p - 2 + window)
     report = ValueSweepReport(k=k, p=p)
     first_lo = k * p + k * k - 3 * k + 1
     first_hi = (2 * k - 1) * p - 2

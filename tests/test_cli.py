@@ -443,6 +443,20 @@ def test_huge_counts_hit_the_guard_before_looping(tmp_path):
         assert result.stdout == ""
 
 
+def test_huge_probe_hosts_hit_the_guard_before_sampling():
+    # probe 5.1 samples hosts up to n = (2k-1)p - 2 and probe 5.2 builds them
+    # up to n = (2k-1)p - 2 + window: the first of these once listed all
+    # C(n,2) pairs and ended in MemoryError.
+    for argv, message in [
+            (["probe", "5.1", "k=2", "p=100000", "trials=1"], "largest host n=299998 > 16384"),
+            (["probe", "5.1", "k=100000", "p=3", "trials=1"], "largest host n=599995 > 16384"),
+            (["probe", "5.2", "k=4", "p=2400", "window=1"], "largest host n=16799 > 16384")]:
+        result = run_cli_capped(argv)
+        assert result.returncode == 3, (argv, result.stderr)
+        assert message in result.stderr, result.stderr
+        assert result.stdout == "" and "MemoryError" not in result.stderr
+
+
 # -- each command loads only what it runs ---------------------------------------
 
 
@@ -473,7 +487,7 @@ def test_formula_loads_no_graph_layer():
 
 def test_oracle_and_graph_commands_skip_unused_layers(tmp_path):
     loaded = modules_loaded_by(["oracle", "3K2", "n=7"])
-    assert "oracle" in loaded and not {"shifting", "probes"} & loaded, loaded
+    assert "oracle" in loaded and not {"packing", "shifting", "probes"} & loaded, loaded
     path = tmp_path / "c5.txt"
     path.write_text(C5_TEXT)
     for argv in (["pack", "k=2", "p=2", "--input", str(path)],

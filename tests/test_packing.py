@@ -9,13 +9,14 @@ from turanpack import (Graph, PackingWitness, PreconditionError,
                        SizeGuardError, VertexSet, complement, complete_graph,
                        components, disjoint_union, find_clique_packing,
                        find_disjoint_independent_sets, from_edge_list,
-                       independence_number, induced_subgraph,
+                       from_graph6, independence_number, induced_subgraph,
                        naive_disjoint_independent_sets, star_graph,
                        union_of_cliques, verify_witness)
 from turanpack import packing
 from turanpack.graphs import bits, is_clique_union, mask_of
-from turanpack.packing import (_alpha_capped, _find_disjoint_sets, _greedy_attempt,
-                               _has_independent, _live_vertices, _splits_into_two)
+from turanpack.packing import (_alpha_capped, _alpha_mask, _clique_cover_bound,
+                               _find_disjoint_sets, _greedy_attempt, _has_independent,
+                               _live_vertices, _splits_into_two)
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 PETERSEN = from_edge_list(10, [
@@ -296,15 +297,56 @@ def test_agrees_with_naive_at_the_threshold():
     assert min(outcomes.values()) >= 30, outcomes
 
 
+def alpha_brute(g, mask):
+    members = list(bits(mask))
+    return max(r for r in range(len(members) + 1)
+               if any(g.is_independent(mask_of(chosen)) for chosen in combinations(members, r)))
+
+
 def test_capped_alpha_is_min_of_alpha_and_cap():
+    # _alpha_mask for every cap 0..n+1 and uncapped, and _alpha_capped (its
+    # greedy pre-pass first) for every positive cap, against brute force.
     rng = random.Random(59)
     for _ in range(200):
         n = rng.randrange(1, 13)
         g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
-        for comp in components(g):
-            alpha = independence_number(induced_subgraph(g, bits(comp)))
-            for cap in (1, 2, 3, 5, 8):
-                assert _alpha_capped(g.adj, comp, cap, {}) == min(alpha, cap)
+        for mask in components(g) + [rng.getrandbits(n)]:
+            alpha = alpha_brute(g, mask)
+            assert _alpha_mask(g.adj, mask, {}) == alpha, (g, mask)
+            for cap in range(n + 2):
+                assert _alpha_mask(g.adj, mask, {}, cap) == min(alpha, cap), (g, mask, cap)
+                if cap:
+                    assert _alpha_capped(g.adj, mask, cap, {}) == min(alpha, cap), (g, mask, cap)
+
+
+def test_alpha_mask_memo_survives_mixed_caps():
+    # One memo across calls with small caps first: an early exit stored as
+    # if it were exact would show up as a too-small alpha later.
+    rng = random.Random(97)
+    for _ in range(60):
+        n = rng.randrange(4, 13)
+        g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 3 + 1), rng)
+        masks = [g.full_mask()] + [rng.getrandbits(n) for _ in range(6)]
+        expected = {mask: alpha_brute(g, mask) for mask in masks}
+        memo = {}
+        for cap in [1, 2, 1, 3, 2, None, 4, 3, None]:
+            for mask in masks:
+                want = expected[mask] if cap is None else min(expected[mask], cap)
+                assert _alpha_mask(g.adj, mask, memo, cap) == want, (g, mask, cap)
+        assert all(memo[mask] == alpha_brute(g, mask) for mask in memo)
+
+
+def test_alpha_mask_stops_at_the_cap():
+    # Three disjoint triangles: taking a vertex of maximum degree three times
+    # reaches cap 3 at once, so no sub-call finishes exactly and nothing is
+    # stored. A take branch searched with cap instead of cap - 1 runs on.
+    g = union_of_cliques([3, 3, 3], 1)
+    g = from_edge_list(g.n, list(g.edges()) + [(0, 9)])
+    memo = {}
+    assert _alpha_mask(g.adj, g.full_mask(), memo, 3) == 3
+    assert memo == {}
+    assert _alpha_mask(g.adj, g.full_mask(), memo) == 4
+    assert memo[g.full_mask()] == 4
 
 
 # -- the tight-host endgame ------------------------------------------------------
@@ -402,10 +444,13 @@ def test_live_vertices_are_those_in_some_independent_set():
             assert _live_vertices(g, size) == expected, (g, size)
 
 
-def planted_clique_and_star(rng, a, b, flips):
-    """K_a + K_(1,b) with its labels shuffled and a few pairs flipped."""
+def planted_clique_and_star(rng, a, b, flips, bridges=0):
+    """K_a + K_(1,b) with its labels shuffled and a few pairs flipped;
+    bridges joins that many clique vertices to star leaves first."""
     g = disjoint_union(complete_graph(a), star_graph(b))
     edges = set(g.edges())
+    for _ in range(bridges):
+        edges.add((rng.randrange(a), rng.randrange(a + 1, g.n)))
     for _ in range(flips):
         edges ^= {tuple(sorted(rng.sample(range(g.n), 2)))}
     perm = list(range(g.n))
@@ -478,3 +523,81 @@ def test_sporadic_blocker_is_refuted_at_the_root(monkeypatch):
     g = disjoint_union(complete_graph(8), star_graph(7))
     assert _find_disjoint_sets(g, (3, 3, 3, 3), None) is None
     assert len(calls) <= 1
+
+
+# -- the clique-cover bound at the root ---------------------------------------------
+
+
+FOUND_SLACK_HOST = "SADO?@S?DU_@?ATGIcG?OTGW?G??OAhBO"
+
+
+def test_clique_cover_rule_prunes_only_on_slack_hosts(monkeypatch):
+    # After the dead-vertex rule, a greedy clique cover of the live vertices
+    # bounds what k sets can take: min(|Q|, k) per clique. It runs once per
+    # slack search that the dead-vertex rule left standing, never on a tight
+    # host, and it must only prune.
+    calls = []
+
+    def recording(adj, mask, k):
+        bound = _clique_cover_bound(adj, mask, k)
+        calls.append((adj, mask, k, bound))
+        return bound
+
+    monkeypatch.setattr(packing, "_clique_cover_bound", recording)
+    rng = random.Random(83)
+    cases = []
+    while len(cases) < 400:
+        slack = rng.randrange(1, 5) if rng.random() < 0.9 else 0
+        if rng.random() < 0.5:
+            k = rng.randrange(2, 5)
+            sizes = (rng.randrange(2, 12 // k + 1),) * k
+        else:
+            sizes = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(2, 5)))
+            if len(set(sizes)) == 1 or sum(sizes) > 12:
+                continue
+        n = sum(sizes) + slack
+        if rng.random() < 0.5 and n >= 5:
+            # a clique plus a star, some leaves joined to the clique: the
+            # shape of FOUND_SLACK_HOST
+            a = rng.randrange(2, n - 2)
+            g = planted_clique_and_star(rng, a, n - a - 1, rng.randrange(0, 2),
+                                        rng.randrange(0, 3))
+        else:
+            g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 2 + 1), rng)
+        if not is_clique_union(g):
+            cases.append((g, sizes))
+    searched, nones = assert_prunes_only(cases)
+    assert searched >= 150 and nones >= 60, (searched, nones)
+    expected = []
+    for g, sizes in cases:
+        if sum(sizes) < g.n and _greedy_attempt(g, tuple(sorted(sizes, reverse=True))) is None:
+            live = _live_vertices(g, min(sizes))
+            if live.bit_count() >= sum(sizes):
+                expected.append((g, sizes, live))
+    assert [(g.adj, live, len(sizes)) for g, sizes, live in expected] == \
+        [call[:3] for call in calls]
+    refuted = fits = 0
+    for (g, sizes, _), (_, _, _, bound) in zip(expected, calls):
+        refuted += bound < sum(sizes)
+        fits += bound == sum(sizes) and reference_core(g, sizes) is not None
+    assert refuted >= 40 and fits >= 10, (refuted, fits)
+
+
+def test_found_slack_host_is_refuted_at_the_root(monkeypatch):
+    # K8 plus a star K_(1,11) whose leaf 4 is also joined to the clique
+    # (n = 20, k = p = 4). The hub is dead, and the clique cover of the 19
+    # live vertices gives 4 for the K8 plus 1 per leaf: 15 < 16. No
+    # component alpha and no supply bound is ever computed.
+    calls = []
+    for name in ("_supply_bound", "_alpha_capped"):
+        original = getattr(packing, name)
+
+        def counting(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(packing, name, counting)
+    g = from_graph6(FOUND_SLACK_HOST)
+    assert (g.n, g.edge_count()) == (20, 40)
+    assert find_disjoint_independent_sets(g, 4, 4) is None
+    assert calls == []

@@ -373,7 +373,44 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
     return 0
 
 
-def _verify_one(obj: dict[str, Any]) -> tuple[bool | None, str]:
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_members(value: Any) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+_SHAPES = {
+    "an integer": _is_int,
+    "a string": lambda value: isinstance(value, str),
+    "a list of integers": _is_members,
+    "a list of integer lists": lambda value: (
+        isinstance(value, list) and all(_is_members(v) for v in value)),
+}
+
+
+def _section(obj: dict[str, Any], key: str) -> dict[str, Any]:
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise PreconditionError(f"{key} is not an object")
+    return value
+
+
+def _field(section: dict[str, Any], name: str, key: str, shape: str) -> Any:
+    """section[key], which must be present and have the shape the
+    verifier reads (a key of _SHAPES); name is the section's name."""
+    if key not in section:
+        raise PreconditionError(f"{name} has no {key!r}")
+    value = section[key]
+    if not _SHAPES[shape](value):
+        raise PreconditionError(f"{name}[{key!r}] is not {shape}")
+    return value
+
+
+def _verify_one(obj: Any) -> tuple[bool | None, str]:
+    """Re-check one decoded record; a record whose shape differs from what
+    its branch reads raises PreconditionError."""
     from .codec import parse_graph_text, to_graph6
     from .constructions import build_family
     from .graphs import VertexSet
@@ -381,46 +418,58 @@ def _verify_one(obj: dict[str, Any]) -> tuple[bool | None, str]:
                           verify_equitable_coloring, verify_witness)
     from .shifting import StructureCertificate, verify_certificate
 
+    if not isinstance(obj, dict):
+        raise PreconditionError("not a JSON object")
     command = obj.get("command")
     outcome = obj.get("outcome")
-    parameters = obj.get("parameters", {})
-    payload = obj.get("payload", {})
+    parameters = _section(obj, "parameters")
+    payload = _section(obj, "payload")
+
+    def param(key, shape):
+        return _field(parameters, "parameters", key, shape)
+
+    def recorded(key, shape):
+        return _field(payload, "payload", key, shape)
+
     if outcome == "witness" and command in ("pack", "resolve"):
-        g = parse_graph_text(parameters["graph6"])
+        g = parse_graph_text(param("graph6", "a string"))
         sets = tuple(VertexSet.from_members(g.n, members)
-                     for members in payload["sets"])
+                     for members in recorded("sets", "a list of integer lists"))
         witness = PackingWitness(sets)
-        k = parameters.get("k", len(sets))
-        p = parameters.get("p")
+        k = param("k", "an integer") if "k" in parameters else len(sets)
+        p = param("p", "an integer")
         mode = parameters.get("mode", "independent")
         report = verify_witness(g, witness, k, p, mode)
         return report.ok, report.violation or "witness checks out"
     if outcome == "certificate" and command == "resolve":
-        g = parse_graph_text(parameters["graph6"])
+        g = parse_graph_text(param("graph6", "a string"))
+        p = param("p", "an integer")
         cert = StructureCertificate(
             cliques=tuple(VertexSet.from_members(g.n, members)
-                          for members in payload["cliques"]),
-            isolated=VertexSet.from_members(g.n, payload["isolated"]),
-            s=payload["s"],
-            edges=payload["edges"],
-            max_degree=payload["max_degree"],
+                          for members in recorded("cliques", "a list of integer lists")),
+            isolated=VertexSet.from_members(g.n, recorded("isolated", "a list of integers")),
+            s=recorded("s", "an integer"),
+            edges=recorded("edges", "an integer"),
+            max_degree=recorded("max_degree", "an integer"),
         )
-        report = verify_certificate(g, cert, parameters["p"])
+        report = verify_certificate(g, cert, p)
         return report.ok, report.violation or "certificate checks out"
     if outcome == "witness" and command == "color":
-        g = parse_graph_text(parameters["graph6"])
+        g = parse_graph_text(param("graph6", "a string"))
         coloring = EquitableColoring(tuple(
             VertexSet.from_members(g.n, members)
-            for members in payload["classes"]))
+            for members in recorded("classes", "a list of integer lists")))
         report = verify_equitable_coloring(g, coloring)
         return report.ok, report.violation or "coloring checks out"
     if command == "construct" and outcome == "value":
-        family = parameters["family"]
+        family = param("family", "a string")
+        graph6 = recorded("graph6", "a string")
+        edges = recorded("edges", "an integer")
         params = {key: value for key, value in parameters.items() if key != "family"}
         g, desc = build_family(family, params)
-        if to_graph6(g) != payload["graph6"]:
+        if to_graph6(g) != graph6:
             return False, "rebuilt graph differs from recorded graph6"
-        if g.edge_count() != payload["edges"]:
+        if g.edge_count() != edges:
             return False, "recorded edge count is wrong"
         return True, "construction rebuilt identically"
     return None, "record carries no verifiable payload"
@@ -440,7 +489,10 @@ def cmd_verify(args, settings: Settings, started: float) -> int:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise PreconditionError(f"record line {index} is not JSON: {exc}")
-        verified, detail = _verify_one(obj)
+        try:
+            verified, detail = _verify_one(obj)
+        except PreconditionError as exc:
+            raise PreconditionError(f"record line {index}: {exc}") from None
         if verified is False:
             failures += 1
         record = ResultRecord(

@@ -176,10 +176,16 @@ def probe_value_sweep(k: int, p: int, window: int | None = None,
     if window > MAX_EDGE_LIST_N:
         raise SizeGuardError(f"probe guard: window={window} > {MAX_EDGE_LIST_N}")
     _guard_largest_host((2 * k - 1) * p - 2 + window)
-    report = ValueSweepReport(k=k, p=p)
     first_lo = k * p + k * k - 3 * k + 1
     first_hi = (2 * k - 1) * p - 2
     second_lo = (2 * k - 1) * p - 1
+    # One host per row: their adjacency bits together may not exceed those
+    # of one largest allowed host.
+    total = sum(n * n for n in range(first_lo, second_lo + window))
+    if total > MAX_EDGE_LIST_N ** 2:
+        raise SizeGuardError(
+            f"probe guard: sum of n^2 over the sweep's hosts = {total} > {MAX_EDGE_LIST_N}^2")
+    report = ValueSweepReport(k=k, p=p)
     four_block_ok = True
     for n in range(first_lo, second_lo + window):
         if n <= first_hi:

@@ -215,6 +215,41 @@ def test_verify_stream_of_mixed_records(run_cli):
     assert all(json.loads(line)["payload"]["verified"] for line in lines)
 
 
+def test_verify_refuses_malformed_records(run_cli):
+    # Each of these once ended in a traceback (exit 1): the record is not an
+    # object, a key the branch reads is missing, or a value has the wrong type.
+    _, witness_line = run_cli(["pack", "k=2", "p=2", "--input", "-"], stdin=C5_TEXT)
+    _, color_line = run_cli(["color", "classes=3", "--input", "-"], stdin=C5_TEXT)
+    _, cert_line = run_cli(["resolve", "p=3", "--input", "-"],
+                           stdin=to_edge_list_text(union_of_cliques([7], 7)))
+    no_graph = json.loads(witness_line)
+    del no_graph["parameters"]["graph6"]
+    bad_classes = json.loads(color_line)
+    bad_classes["payload"]["classes"] = "ab"
+    bad_p = json.loads(cert_line)
+    bad_p["parameters"]["p"] = "x"
+    for record, message in [([1, 2], "record line 0: not a JSON object"),
+                            (no_graph, "record line 0: parameters has no 'graph6'"),
+                            (bad_classes, "record line 0: payload['classes'] is not "
+                                          "a list of integer lists"),
+                            (bad_p, "record line 0: parameters['p'] is not an integer")]:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, out = run_cli(["verify", "--record", "-"], stdin=json.dumps(record) + "\n")
+        assert code == 2, (record, stderr.getvalue())
+        assert out == ""
+        assert stderr.getvalue() == f"error: {message}\n"
+    # the well-formed records still verify, and a bad line after them
+    # stops the stream with its own line number
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code, out = run_cli(["verify", "--record", "-"],
+                            stdin=witness_line + color_line + cert_line + "[1, 2]\n")
+    assert code == 2
+    assert [json.loads(line)["payload"]["verified"] for line in out.splitlines()] == [True] * 3
+    assert stderr.getvalue() == "error: record line 3: not a JSON object\n"
+
+
 def test_oracle_values_and_guard(run_cli):
     code, out = run_cli(["oracle", "3K2", "n=6"])
     assert code == 0
@@ -455,6 +490,16 @@ def test_huge_probe_hosts_hit_the_guard_before_sampling():
         assert result.returncode == 3, (argv, result.stderr)
         assert message in result.stderr, result.stderr
         assert result.stdout == "" and "MemoryError" not in result.stderr
+
+
+def test_probe_sweep_total_work_hits_the_guard_before_building():
+    # The largest host of this sweep (n = 16019) passes its guard, but the
+    # probe builds one host per row, about 16,000 of them: the sum of n^2
+    # over the rows may not exceed the bits of one largest allowed host.
+    result = run_cli_capped(["probe", "5.2", "k=4", "p=3", "window=16000"])
+    assert result.returncode == 3, result.stderr
+    assert "sum of n^2 over the sweep's hosts = 1370331416974 > 16384^2" in result.stderr
+    assert result.stdout == "" and "MemoryError" not in result.stderr
 
 
 # -- each command loads only what it runs ---------------------------------------

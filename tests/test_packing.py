@@ -15,8 +15,8 @@ from turanpack import (Graph, PackingWitness, PreconditionError,
 from turanpack import packing
 from turanpack.graphs import bits, is_clique_union, mask_of
 from turanpack.packing import (_alpha_capped, _alpha_mask, _clique_cover_bound,
-                               _find_disjoint_sets, _greedy_attempt, _has_independent,
-                               _live_vertices, _splits_into_two)
+                               _cover_reaches, _find_disjoint_sets, _greedy_attempt,
+                               _has_independent, _live_vertices, _splits_into_two)
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 PETERSEN = from_edge_list(10, [
@@ -372,6 +372,36 @@ def test_two_split_helper_matches_brute_force():
             assert _splits_into_two(g, mask, size) == (size in expected), (g, mask, size)
 
 
+def test_two_split_helper_finds_conflicts_in_the_last_layer():
+    # An odd cycle 0-1-...-(2r)-0 searched from 0 has its one edge inside a
+    # BFS layer, r-(r+1), in the last layer. Pendant paths push the last
+    # layer further out, so the conflict also sits in a middle layer; a
+    # bipartite component in front keeps the scan going past the first one.
+    rng = random.Random(89)
+    for r in range(1, 5):
+        for tail in (0, 1, 4):
+            for lead in (0, 2):
+                cycle = 2 * r + 1
+                edges = [(lead + i, lead + (i + 1) % cycle) for i in range(cycle)]
+                edges += [(v, v + 1) for v in range(lead + cycle - 1, lead + cycle + tail - 1)]
+                edges += [(v, v + 1) for v in range(lead - 1)]
+                n = lead + cycle + tail
+                for shuffle in (False, True):
+                    perm = list(range(n))
+                    if shuffle:
+                        rng.shuffle(perm)
+                    g = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+                    mask = g.full_mask()
+                    for size in range(n + 1):
+                        assert not _splits_into_two(g, mask, size), (g, size)
+                    # one vertex off the cycle makes it a bipartite path
+                    cut = mask & ~(1 << perm[lead + r])
+                    expected = split_sizes(g, cut)
+                    assert expected
+                    for size in range(n + 1):
+                        assert _splits_into_two(g, cut, size) == (size in expected), (g, size)
+
+
 def test_endgame_prunes_only_on_tight_hosts(monkeypatch):
     # On a tight host the last two sets are refuted when G[avail] is not
     # bipartite or has no split with a side of the wanted size, and searched
@@ -601,3 +631,103 @@ def test_found_slack_host_is_refuted_at_the_root(monkeypatch):
     assert (g.n, g.edge_count()) == (20, 40)
     assert find_disjoint_independent_sets(g, 4, 4) is None
     assert calls == []
+
+
+# -- the clique-cover bound inside each set -------------------------------------------
+
+
+def record_cover_calls(monkeypatch):
+    """Spy on packing._cover_reaches; returns the list of its answers."""
+    calls = []
+
+    def recording(adj, mask, target):
+        reaches = _cover_reaches(adj, mask, target)
+        calls.append(reaches)
+        return reaches
+
+    monkeypatch.setattr(packing, "_cover_reaches", recording)
+    return calls
+
+
+def test_cover_reaches_never_undercounts_alpha():
+    # A greedy cover with fewer than t cliques proves alpha < t: the helper
+    # may answer True when alpha < t, but never False when alpha >= t.
+    rng = random.Random(101)
+    short = 0
+    for _ in range(400):
+        n = rng.randrange(0, 13)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+        mask = rng.getrandbits(n) if n else 0
+        alpha = alpha_brute(g, mask)
+        for target in range(1, mask.bit_count() + 2):
+            reaches = _cover_reaches(g.adj, mask, target)
+            if not reaches:
+                assert alpha < target, (g, mask, target)
+                short += target <= mask.bit_count()
+        assert _cover_reaches(g.adj, mask, 1) == (mask != 0)
+    assert short >= 300, short
+
+
+def test_cover_rule_in_the_set_search_prunes_only_on_slack_hosts(monkeypatch):
+    # Inside each set, a candidate mask whose greedy clique cover holds fewer
+    # cliques than the vertices still wanted cannot complete the set. The
+    # rule runs only on slack hosts, and must only prune. 400 slack hosts,
+    # planted clique-plus-star and random, equal and mixed sizes, with tight
+    # hosts mixed in.
+    calls = record_cover_calls(monkeypatch)
+    rng = random.Random(103)
+    cases = {"slack": [], "tight": []}
+    while len(cases["slack"]) < 400:
+        slack = rng.randrange(1, 5) if rng.random() < 0.85 else 0
+        if rng.random() < 0.5:
+            k = rng.randrange(2, 5)
+            sizes = (rng.randrange(2, 14 // k + 1),) * k
+        else:
+            sizes = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(2, 5)))
+            if len(set(sizes)) == 1 or sum(sizes) > 14:
+                continue
+        n = sum(sizes) + slack
+        if n < 5:
+            continue
+        if rng.random() < 0.3:
+            a = rng.randrange(2, n - 2)
+            g = planted_clique_and_star(rng, a, n - a - 1, rng.randrange(0, 3),
+                                        rng.randrange(0, 3))
+        else:
+            g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 3 + 1), rng)
+        if not is_clique_union(g):
+            cases["tight" if slack == 0 else "slack"].append((g, sizes))
+    ran = searched = nones = 0
+    for kind, group in cases.items():
+        for case in group:
+            before = len(calls)
+            got_searched, got_none = assert_prunes_only([case])
+            searched += got_searched
+            nones += got_none
+            if kind == "tight":
+                assert len(calls) == before, case
+            else:
+                ran += len(calls) > before
+    assert searched >= 200 and nones >= 80 and len(cases["tight"]) >= 40, \
+        (searched, nones, len(cases["tight"]))
+    assert ran >= 60 and calls.count(False) >= 100 and calls.count(True) >= 250, \
+        (ran, calls.count(False), calls.count(True))
+
+
+# A sparse slack host: probes.random_bounded_graph(57, 285, 10, random.Random(2)).
+SPARSE_SLACK_HOST = (
+    "x?yQ?AX??A_Gc@CCW?A?@?g?D_@I?_G?PKA???G?C?A_EFA]ECoAO???@HAHA@??Oc?c??AH"
+    "@QC?I?CK?APC??Cg?cA?CG?Ca?OG?A__H????@EA?Aa?Ci`?Ja?C??_@r??S@rGA??g?OgOD"
+    "?CA??MF`??__@s?CoW??I_cR?OO_G?GKEROG?DO_s???_CA_?PK_?GhW_A?COG?E?gCPA_?O"
+    "Gd@gI?_Rw??O?W?_DBCQ??a@A_@?Ao_C?H??Glg??EO?_GSCQC?")
+
+
+def test_sparse_slack_host_is_refuted_inside_the_sets(monkeypatch):
+    # n = 57, 285 edges, max degree 10, k = 4, p = 14 (answer "none"): no
+    # root rule binds, and the in-set cover cuts most of the set search.
+    calls = record_cover_calls(monkeypatch)
+    g = from_graph6(SPARSE_SLACK_HOST)
+    assert (g.n, g.edge_count(), g.max_degree()) == (57, 285, 10)
+    assert find_disjoint_independent_sets(g, 4, 14) is None
+    assert len(calls) >= 10000 and calls.count(False) >= len(calls) // 2, \
+        (len(calls), calls.count(False))

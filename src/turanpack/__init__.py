@@ -23,9 +23,9 @@ _EXPORTS = {
                  "ex_k_matchings", "ex_single_clique", "ex_tight_k_cliques",
                  "ex_two_distinct_cliques", "extend_hub_join_value", "f3_min_edges",
                  "hub_join_edges", "min_edges_alpha_bound", "turan_edges"),
-    "graphs": ("Graph", "VertexSet", "clique_component_sizes", "complement",
-               "complete_graph", "components", "cross_edge_count", "disjoint_union",
-               "empty_graph", "from_edge_list", "from_edge_list_text",
+    "graphs": ("Graph", "VertexSet", "clique_component_sizes", "clique_union_profile",
+               "complement", "complete_graph", "components", "cross_edge_count",
+               "disjoint_union", "empty_graph", "from_edge_list", "from_edge_list_text",
                "induced_subgraph", "join", "to_edge_list_text"),
     "oracle": ("exhaustive_ex", "exhaustive_ex_sizes", "naive_contains_clique_union",
                "naive_disjoint_independent_sets", "naive_independent_sets"),

@@ -290,7 +290,9 @@ def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescript
     if missing:
         raise PreconditionError(
             f"family {family} needs parameters: {', '.join(missing)}")
-    not_int = [name for name in CLI_FAMILIES[family] if not isinstance(params[name], int)]
+    # bool is a subclass of int, so JSON true/false must be refused by name.
+    not_int = [name for name in CLI_FAMILIES[family]
+               if not isinstance(params[name], int) or isinstance(params[name], bool)]
     if not_int:
         raise PreconditionError(
             f"family {family} needs integer parameters: {', '.join(not_int)}")

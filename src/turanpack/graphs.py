@@ -281,10 +281,10 @@ def components(g: Graph) -> list[int]:
 def is_clique_union(g: Graph) -> bool:
     """Whether every component induces a complete graph.
 
-    Equivalent to `clique_component_sizes(g) is not None`, but exits at the
-    first edge uv with N[u] != N[v]: within a connected component, equal
-    closed neighborhoods along every edge force one common closed
-    neighborhood, which then contains the whole component."""
+    Equals `clique_union_profile(g) is not None`, but exits at the first
+    edge uv with N[u] != N[v]: within a connected component, equal closed
+    neighborhoods along every edge force one common closed neighborhood,
+    which then contains the whole component."""
     adj = g.adj
     for v in range(g.n):
         closed = adj[v] | 1 << v
@@ -297,16 +297,32 @@ def is_clique_union(g: Graph) -> bool:
     return True
 
 
+def clique_union_profile(g: Graph) -> tuple[list[int], int] | None:
+    """If every component induces a complete graph, return (the masks of
+    the components with at least two vertices, sorted by descending size
+    then smallest member, the mask of the isolated vertices); otherwise
+    None."""
+    cliques: list[int] = []
+    pool = 0
+    for comp in components(g):
+        if comp.bit_count() == 1:
+            pool |= comp
+        elif g.is_clique(comp):
+            cliques.append(comp)
+        else:
+            return None
+    cliques.sort(key=lambda m: (-m.bit_count(), m & -m))
+    return cliques, pool
+
+
 def clique_component_sizes(g: Graph) -> list[int] | None:
     """If every component induces a complete graph, return the sorted
     (descending) size list; otherwise None. Singletons count as size 1."""
-    sizes = []
-    for comp in components(g):
-        if not g.is_clique(comp):
-            return None
-        sizes.append(comp.bit_count())
-    sizes.sort(reverse=True)
-    return sizes
+    profile = clique_union_profile(g)
+    if profile is None:
+        return None
+    cliques, pool = profile
+    return [m.bit_count() for m in cliques] + [1] * pool.bit_count()
 
 
 # -- edge-list text format -------------------------------------------------

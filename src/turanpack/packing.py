@@ -46,10 +46,11 @@ configurable size cap.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
-from .graphs import MAX_EDGE_LIST_N, Graph, VertexSet, bits, complement, components
+from .graphs import (MAX_EDGE_LIST_N, Graph, VertexSet, bits, clique_union_profile,
+                     complement, components)
 
 DEFAULT_GUARD_N = 64
 DEFAULT_EXACT_COLORING_GUARD = 20
@@ -149,23 +150,6 @@ def independence_number(g: Graph, guard_n: int | None = None) -> int:
 
 
 # -- exact disjoint-set search ------------------------------------------------
-
-
-def _clique_union_profile(g: Graph) -> tuple[list[int], int] | None:
-    """If every component is a clique, return (clique masks sorted by
-    descending size, pool mask of singletons); otherwise None."""
-    cliques: list[int] = []
-    pool = 0
-    for comp in components(g):
-        size = comp.bit_count()
-        if size == 1:
-            pool |= comp
-            continue
-        if not g.is_clique(comp):
-            return None
-        cliques.append(comp)
-    cliques.sort(key=lambda m: (-m.bit_count(), m & -m))
-    return cliques, pool
 
 
 def _clique_union_search(g: Graph, sizes: tuple[int, ...],
@@ -348,29 +332,40 @@ def _cover_reaches(adj: tuple[int, ...], mask: int, target: int) -> bool:
     return mask != 0
 
 
-def _greedy_attempt(g: Graph, sizes: tuple[int, ...]) -> list[int] | None:
-    """One cheap pass in degree order; a hit skips the full search."""
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
-    avail = g.full_mask()
-    sets = []
+def _degree_order(g: Graph) -> list[int]:
+    """Vertices by ascending degree, lowest index first among equals."""
+    return sorted(range(g.n), key=lambda v: (g.degree(v), v))
+
+
+def _greedy_fill(g: Graph, order: Sequence[int],
+                 sizes: tuple[int, ...]) -> list[int] | None:
+    """Disjoint independent sets of the given sizes, each filled by the
+    first vertices of order that are unused and have no neighbour in it;
+    None when some set runs out of vertices."""
+    adj = g.adj
+    used = 0
+    masks = []
     for size in sizes:
         mask = 0
         count = 0
-        blocked = 0
         for v in order:
             bit = 1 << v
-            if not avail & bit or blocked & bit:
+            if used & bit or adj[v] & mask:
                 continue
             mask |= bit
-            blocked |= g.adj[v]
             count += 1
             if count == size:
                 break
         if count < size:
             return None
-        sets.append(mask)
-        avail &= ~mask
-    return sets
+        masks.append(mask)
+        used |= mask
+    return masks
+
+
+def _greedy_attempt(g: Graph, sizes: tuple[int, ...]) -> list[int] | None:
+    """One cheap pass in degree order; a hit skips the full search."""
+    return _greedy_fill(g, _degree_order(g), sizes)
 
 
 def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
@@ -382,7 +377,7 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
     sizes = tuple(sorted(sizes, reverse=True))
     if sum(sizes) > g.n:
         return None
-    profile = _clique_union_profile(g)
+    profile = clique_union_profile(g)
     if profile is not None:
         return _clique_union_search(g, sizes, *profile)
     guard = DEFAULT_GUARD_N if guard_n is None else guard_n

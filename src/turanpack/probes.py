@@ -17,7 +17,8 @@ from .codec import to_graph6
 from .errors import PreconditionError, SizeGuardError
 from .formulas import binom2, ex_4_cliques, hub_join_edges
 from .constructions import hub_join, rigid_clique_union
-from .graphs import MAX_EDGE_LIST_N, Graph, complement, components, from_edge_list
+from .graphs import (MAX_EDGE_LIST_N, Graph, clique_union_profile, complement,
+                     from_edge_list)
 from .packing import find_clique_packing, find_disjoint_independent_sets, verify_witness
 
 SAMPLER_ATTEMPTS = 5000
@@ -62,18 +63,12 @@ def _guard_largest_host(n: int) -> None:
 
 def is_rigid_small_clique_union(g: Graph, k: int, s: int) -> bool:
     """Whether g is exactly (s/(k-1)) copies of the (2k-1)-clique plus
-    isolated vertices, with the forced edge count."""
+    isolated vertices; the edge count (2k-1)s follows."""
     if s < 1 or s % (k - 1) != 0:
         return False
-    cliques = 0
-    for comp in components(g):
-        size = comp.bit_count()
-        if size == 1:
-            continue
-        if size != 2 * k - 1 or not g.is_clique(comp):
-            return False
-        cliques += 1
-    return cliques == s // (k - 1) and g.edge_count() == (2 * k - 1) * s
+    profile = clique_union_profile(g)
+    return (profile is not None and len(profile[0]) == s // (k - 1)
+            and all(m.bit_count() == 2 * k - 1 for m in profile[0]))
 
 
 class DichotomyProbeReport:

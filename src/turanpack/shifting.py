@@ -12,11 +12,11 @@ moves stir stuck states; an exact packing search settles whatever is left.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import PreconditionError, SoundnessAlarm
-from .graphs import Graph, VertexSet, bits, components, is_clique_union
-from .packing import (PackingWitness, VerificationReport,
+from .graphs import Graph, VertexSet, bits, clique_union_profile, is_clique_union
+from .packing import (PackingWitness, VerificationReport, _degree_order, _greedy_fill,
                       find_disjoint_independent_sets, verify_witness)
 
 CLASS_COUNT = 5
@@ -127,28 +127,6 @@ class EngineTrace:
 # -- construction of the initial partition ------------------------------------
 
 
-def _greedy_fill(g: Graph, order: Iterable[int],
-                 sizes: tuple[int, ...]) -> list[int] | None:
-    used = 0
-    masks = []
-    for size in sizes:
-        mask = 0
-        count = 0
-        for v in order:
-            bit = 1 << v
-            if used & bit or g.adj[v] & mask:
-                continue
-            mask |= bit
-            count += 1
-            if count == size:
-                break
-        if count < size:
-            return None
-        masks.append(mask)
-        used |= mask
-    return masks
-
-
 def init_partition(g: Graph, p: int) -> PartitionState | None:
     """Greedy seed: three independent p-sets and one (p-1)-set by lowest
     index, retried in ascending-degree order; None when both passes fail."""
@@ -160,7 +138,7 @@ def init_partition(g: Graph, p: int) -> PartitionState | None:
     sizes = (p, p, p, p - 1)
     masks = _greedy_fill(g, range(g.n), sizes)
     if masks is None:
-        masks = _greedy_fill(g, sorted(range(g.n), key=lambda v: (g.degree(v), v)), sizes)
+        masks = _greedy_fill(g, _degree_order(g), sizes)
         if masks is None:
             return None
     leftover = g.full_mask() & ~(masks[0] | masks[1] | masks[2] | masks[3])
@@ -198,31 +176,20 @@ def build_aux_digraph(st: PartitionState) -> AuxDigraph:
                 free = classes[i] & outside[j]
                 if free:
                     arcs[(i, j)] = (free & -free).bit_length() - 1
-    accessible = {dest}
-    frontier = [dest]
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for i in range(CLASS_COUNT):
-                if i not in accessible and (i, j) in arcs:
-                    accessible.add(i)
-                    nxt.append(i)
-        frontier = nxt
-    return AuxDigraph(arcs, dest, frozenset(accessible))
+    return AuxDigraph(arcs, dest, frozenset({dest, *_next_hops(arcs, dest)}))
 
 
-def _next_hops(aux: AuxDigraph) -> dict[int, int]:
-    """For each accessible class, the next class on a shortest path to the
-    destination (lowest-index tie break)."""
-    dist = {aux.destination: 0}
+def _next_hops(arcs: dict[tuple[int, int], int], dest: int) -> dict[int, int]:
+    """Reverse BFS from dest over the arcs: for each other class with a
+    path to dest, the next class on a shortest one (lowest-index tie
+    break). Its keys plus dest are the accessible classes."""
     hops: dict[int, int] = {}
-    frontier = [aux.destination]
+    frontier = [dest]
     while frontier:
         nxt = []
         for j in sorted(frontier):
             for i in range(CLASS_COUNT):
-                if i not in dist and (i, j) in aux.arcs:
-                    dist[i] = dist[j] + 1
+                if i != dest and i not in hops and (i, j) in arcs:
                     hops[i] = j
                     nxt.append(i)
         frontier = nxt
@@ -234,7 +201,7 @@ def accessible_path(aux: AuxDigraph, start: int) -> tuple[tuple[int, ...], tuple
     witnesses as movers."""
     if start not in aux.accessible:
         raise PreconditionError(f"class {start} is not accessible")
-    hops = _next_hops(aux)
+    hops = _next_hops(aux.arcs, aux.destination)
     path = [start]
     while path[-1] != aux.destination:
         path.append(hops[path[-1]])
@@ -368,26 +335,24 @@ def _apply_witness_move(st: PartitionState, move: Move) -> PartitionState:
     if move.kind == "double-solo":
         x, x2 = move.leftovers
         j = move.target_class
-        classes = list(st.classes)
         if move.movers[0] == move.solo:
-            shifted = apply_shift(st, move.path, move.movers)
-            classes = list(shifted.classes)
+            classes = list(apply_shift(st, move.path, move.movers).classes)
             classes[0] &= ~(1 << x)
             classes[j] |= 1 << x
             return PartitionState(st.graph, st.p, tuple(classes))
         # Swap the solo neighbor out for both leftovers, then route the
         # path mover onward to refill the destination.
+        classes = list(st.classes)
         classes[j] = (classes[j] & ~(1 << move.solo)) | (1 << x) | (1 << x2)
         classes[0] = (classes[0] & ~((1 << x) | (1 << x2))) | (1 << move.solo)
-        bulged = _RawState(st.graph, st.p, classes)
         for step, (a, b) in enumerate(zip(move.path, move.path[1:])):
             v = move.movers[step]
             bit = 1 << v
-            if not bulged.classes[a] & bit or st.graph.adj[v] & bulged.classes[b]:
+            if not classes[a] & bit or st.graph.adj[v] & classes[b]:
                 raise PreconditionError("double-solo move no longer applies")
-            bulged.classes[a] &= ~bit
-            bulged.classes[b] |= bit
-        return PartitionState(st.graph, st.p, tuple(bulged.classes))
+            classes[a] &= ~bit
+            classes[b] |= bit
+        return PartitionState(st.graph, st.p, tuple(classes))
     if move.kind == "solo-reroot":
         x = move.leftovers[0]
         j = move.target_class
@@ -399,15 +364,6 @@ def _apply_witness_move(st: PartitionState, move: Move) -> PartitionState:
         classes[0] &= ~(1 << x)
         return PartitionState(st.graph, st.p, tuple(classes))
     raise PreconditionError(f"not a witness move: {move.kind}")
-
-
-class _RawState:
-    """Mutable scratch copy used while a compound move is in flight."""
-
-    def __init__(self, graph: Graph, p: int, classes: list[int]):
-        self.graph = graph
-        self.p = p
-        self.classes = classes
 
 
 def _apply_stir_move(st: PartitionState, move: Move) -> tuple[PartitionState, tuple[int, int]]:
@@ -439,17 +395,12 @@ def certify_k7_structure(g: Graph, p: int) -> StructureCertificate | None:
     if p < 1:
         raise PreconditionError("p must be positive")
     s = g.n - (4 * p - 1)
-    cliques = []
-    isolated = 0
-    for comp in components(g):
-        size = comp.bit_count()
-        if size == 1:
-            isolated |= comp
-        elif size == 7 and g.is_clique(comp):
-            cliques.append(comp)
-        else:
-            return None
-    if s < 1 or s % 3 != 0 or len(cliques) != s // 3:
+    profile = clique_union_profile(g)
+    if profile is None:
+        return None
+    cliques, isolated = profile
+    if (s < 1 or s % 3 != 0 or len(cliques) != s // 3
+            or any(m.bit_count() != 7 for m in cliques)):
         return None
     return StructureCertificate(
         cliques=tuple(VertexSet(g.n, m) for m in cliques),

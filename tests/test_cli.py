@@ -228,11 +228,16 @@ def test_verify_refuses_malformed_records(run_cli):
     bad_classes["payload"]["classes"] = "ab"
     bad_p = json.loads(cert_line)
     bad_p["parameters"]["p"] = "x"
+    # bool is a subclass of int; JSON true must not rebuild J with p = 1
+    _, construct_line = run_cli(["construct", "J", "p=3", "s=3"])
+    bool_p = json.loads(construct_line)
+    bool_p["parameters"]["p"] = True
     for record, message in [([1, 2], "record line 0: not a JSON object"),
                             (no_graph, "record line 0: parameters has no 'graph6'"),
                             (bad_classes, "record line 0: payload['classes'] is not "
                                           "a list of integer lists"),
-                            (bad_p, "record line 0: parameters['p'] is not an integer")]:
+                            (bad_p, "record line 0: parameters['p'] is not an integer"),
+                            (bool_p, "record line 0: family J needs integer parameters: p")]:
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code, out = run_cli(["verify", "--record", "-"], stdin=json.dumps(record) + "\n")
@@ -551,9 +556,10 @@ PUBLIC_NAMES = [
     "ValueSweepRow", "VerificationReport", "VertexSet", "accessible_path",
     "apply_shift", "binom2", "build_aux_digraph", "build_family", "build_ref",
     "certify_k7_structure", "check_blocked_domination", "check_preconditions",
-    "claim_holds", "clique_component_sizes", "codec", "complement", "complete_graph",
-    "components", "constructions", "cross_edge_count", "disjoint_union",
-    "dispatch_formula", "empty_graph", "equitable_coloring", "equitable_coloring_exact",
+    "claim_holds", "clique_component_sizes", "clique_union_profile", "codec",
+    "complement", "complete_graph", "components", "constructions", "cross_edge_count",
+    "disjoint_union", "dispatch_formula", "empty_graph", "equitable_coloring",
+    "equitable_coloring_exact",
     "errors", "ex_2_cliques", "ex_3_cliques", "ex_4_cliques", "ex_k_matchings",
     "ex_single_clique", "ex_tight_k_cliques", "ex_two_distinct_cliques",
     "exhaustive_ex", "exhaustive_ex_sizes", "extend_hub_join_value", "f3_min_edges",
@@ -597,4 +603,4 @@ print(json.dumps(names))
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 101
+    assert len(PUBLIC_NAMES) == 102

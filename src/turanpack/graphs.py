@@ -297,14 +297,15 @@ def is_clique_union(g: Graph) -> bool:
     return True
 
 
-def clique_union_profile(g: Graph) -> tuple[list[int], int] | None:
+def clique_union_profile(g: Graph,
+                         comps: list[int] | None = None) -> tuple[list[int], int] | None:
     """If every component induces a complete graph, return (the masks of
     the components with at least two vertices, sorted by descending size
     then smallest member, the mask of the isolated vertices); otherwise
-    None."""
+    None. comps, when given, is components(g), which is then not rerun."""
     cliques: list[int] = []
     pool = 0
-    for comp in components(g):
+    for comp in components(g) if comps is None else comps:
         if comp.bit_count() == 1:
             pool |= comp
         elif g.is_clique(comp):

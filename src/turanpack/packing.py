@@ -29,15 +29,15 @@ the one the unbounded search would find:
   the branch.
 
 On a tight host (sum of sizes = n) the sets left must partition the
-available vertices exactly, which decides the last two sets outright:
-
-- last set: the only candidate is every available vertex, so it is taken
-  iff it is independent (the budget above already puts it above the floor);
-- last two sets: they exist only if the available vertices split into two
-  independent sets, one of the size wanted, i.e. G[avail] is bipartite and
-  some choice of side per component sums to that size; a branch with no
-  such split is cut before any enumeration. One BFS pass per component
-  both 2-colours it and finds any edge inside a side.
+available vertices exactly, so the last two sets are decided outright,
+before the supply bound and with no enumeration: they exist only if
+G[avail] is bipartite and a choice of one side per component makes up the
+size wanted. One BFS pass per component both 2-colours it and finds any
+edge inside a side; a suffix subset sum over the side sizes then builds the
+split the enumeration would have reached first, taking each component's
+lower side (the one holding its lowest vertex) whenever the components
+after it can still make up the rest. The last set is every vertex left.
+With k = 1 the one set is every vertex, taken iff it is independent.
 
 Hosts whose components are all cliques or isolated vertices take an
 analytic path that works at any n; everything else is guarded by a
@@ -127,7 +127,7 @@ def _alpha_mask(adj: tuple[int, ...], mask: int, memo: dict,
 def _alpha_capped(adj: tuple[int, ...], mask: int, cap: int, memo: dict) -> int:
     """min(alpha(G[mask]), cap). A greedy independent set in ascending
     degree order that reaches cap settles it without the exact search."""
-    order = sorted(bits(mask), key=lambda v: ((adj[v] & mask).bit_count(), v))
+    order = sorted(bits(mask), key=lambda v: (adj[v] & mask).bit_count())
     free = mask
     count = 0
     for v in order:
@@ -202,40 +202,69 @@ def _supply_bound(avail: int, k_rem: int,
     return total
 
 
-def _splits_into_two(g: Graph, mask: int, size: int) -> bool:
-    """Whether mask splits into two independent sets, one of the given size.
+def _last_two_split(adj: tuple[int, ...], avail: int, size: int,
+                    start: int) -> int | None:
+    """The next-to-last set of a tight search, or None when the branch fails.
 
-    Each component of G[mask] is 2-colored by BFS layers; it must have no
-    edge inside a side, and a subset sum over the side sizes (one bit per
-    reachable total) must reach size. A BFS edge joins one layer to itself
-    or to the next, so a layer whose neighbours meet its own side is the
-    only way a side fails to be independent; that is checked as each layer
-    is expanded, in the same pass.
+    That is the lex-first set S (sorted members compared in order) with
+    |S| = size and min(S) >= start such that S and avail & ~S are both
+    independent, i.e. S takes one side of each component of G[avail]. Each
+    component is 2-colored by BFS layers; a BFS edge joins one layer to
+    itself or to the next, so a layer whose neighbours meet its own side is
+    the only way a side fails to be independent, and that is checked as
+    each layer is expanded.
+
+    Of two sets of one size, the one holding the lowest vertex of their
+    difference comes first. With the components taken in order of their
+    lowest vertex, that vertex is always the lowest not yet placed, so S
+    takes the side holding it whenever the side is allowed and the later
+    components can still make up the rest (a suffix subset sum, one bit per
+    reachable total), and the other side otherwise.
     """
-    adj = g.adj
-    reach = 1
-    left = mask
+    sides = []
+    left = avail
     while left:
         frontier = left & -left
-        sides = [0, 0]
+        layers = [0, 0]
         parity = 0
         seen = frontier
         while frontier:
-            sides[parity] |= frontier
+            layers[parity] |= frontier
             grown = 0
             rem = frontier
             while rem:
                 low = rem & -rem
                 grown |= adj[low.bit_length() - 1]
                 rem ^= low
-            if grown & sides[parity]:
-                return False
-            frontier = grown & mask & ~seen
+            if grown & layers[parity]:
+                return None
+            frontier = grown & avail & ~seen
             seen |= frontier
             parity ^= 1
         left &= ~seen
-        reach = (reach << sides[0].bit_count()) | (reach << sides[1].bit_count())
-    return reach >> size & 1 == 1
+        sides.append(layers)
+    forbid = (1 << start) - 1  # S holds no vertex below start
+    reach = [1]  # reach[-1]: the sizes the components after the current one can give S
+    for lower, upper in reversed(sides):
+        total = 0
+        if not lower & forbid:
+            total |= reach[-1] << lower.bit_count()
+        if not upper & forbid:
+            total |= reach[-1] << upper.bit_count()
+        reach.append(total)
+    if not reach.pop() >> size & 1:
+        return None
+    chosen = 0
+    for lower, upper in sides:
+        after = reach.pop()
+        count = lower.bit_count()
+        if not lower & forbid and count <= size and after >> (size - count) & 1:
+            chosen |= lower
+            size -= count
+        else:
+            chosen |= upper
+            size -= upper.bit_count()
+    return chosen
 
 
 def _has_independent(adj: tuple[int, ...], mask: int, need: int) -> bool:
@@ -334,7 +363,7 @@ def _cover_reaches(adj: tuple[int, ...], mask: int, target: int) -> bool:
 
 def _degree_order(g: Graph) -> list[int]:
     """Vertices by ascending degree, lowest index first among equals."""
-    return sorted(range(g.n), key=lambda v: (g.degree(v), v))
+    return sorted(range(g.n), key=g.degree)
 
 
 def _greedy_fill(g: Graph, order: Sequence[int],
@@ -377,7 +406,8 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
     sizes = tuple(sorted(sizes, reverse=True))
     if sum(sizes) > g.n:
         return None
-    profile = clique_union_profile(g)
+    comps = components(g)
+    profile = clique_union_profile(g, comps)
     if profile is not None:
         return _clique_union_search(g, sizes, *profile)
     guard = DEFAULT_GUARD_N if guard_n is None else guard_n
@@ -397,23 +427,26 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
         if root.bit_count() < totals[0] or _clique_cover_bound(adj, root, k) < totals[0]:
             return None
     memo: dict = {}
-    comp_info = [(comp, _alpha_capped(adj, comp, sizes[0], memo)) for comp in components(g)]
+    comp_info = [(comp, _alpha_capped(adj, comp, sizes[0], memo)) for comp in comps]
 
     def place(idx: int, avail: int, floor: int) -> list[int] | None:
         if idx == k:
             return []
-        if tight and idx == k - 1:
-            # No floor test: the budget makes each set of the last group
-            # start at the lowest available vertex, so avail is above floor.
+        if tight and idx == k - 1:  # k = 1: the one set is every vertex
             return [avail] if g.is_independent(avail) else None
-        if tight and idx == k - 2 and not _splits_into_two(g, avail, sizes[idx]):
-            return None
+        need = sizes[idx]
+        start = floor if idx > 0 and sizes[idx - 1] == need else 0
+        if tight and idx == k - 2:
+            # In the last group the budget below would let only min(avail)
+            # start this set. The split holds it anyway: there start <=
+            # min(avail), and when a split S misses min(avail), the rest of
+            # avail is a split of the same size that holds it and comes
+            # first. So the last set needs no floor test either.
+            chosen = _last_two_split(adj, avail, need, start)
+            return None if chosen is None else [chosen, avail & ~chosen]
         if _supply_bound(avail, k - idx, comp_info) < totals[idx]:
             return None
-        need = sizes[idx]
-        same_group = idx > 0 and sizes[idx - 1] == need
         last_group = need == sizes[-1]
-        start = floor if same_group else 0
         first_candidates = avail >> start << start
 
         def grow(set_mask: int, count: int, cand: int, first: int) -> list[int] | None:

@@ -63,7 +63,10 @@ def _guard_largest_host(n: int) -> None:
 
 def is_rigid_small_clique_union(g: Graph, k: int, s: int) -> bool:
     """Whether g is exactly (s/(k-1)) copies of the (2k-1)-clique plus
-    isolated vertices; the edge count (2k-1)s follows."""
+    isolated vertices; the edge count (2k-1)s follows. Needs k >= 2, as
+    probe_dichotomy does."""
+    if k < 2:
+        raise PreconditionError("need k >= 2")
     if s < 1 or s % (k - 1) != 0:
         return False
     profile = clique_union_profile(g)

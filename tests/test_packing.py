@@ -1,7 +1,9 @@
 """Exact disjoint-set search, its fast path, and witness verification."""
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,10 @@ from turanpack import packing
 from turanpack.graphs import bits, is_clique_union, mask_of
 from turanpack.packing import (_alpha_capped, _alpha_mask, _clique_cover_bound,
                                _cover_reaches, _find_disjoint_sets, _greedy_attempt,
-                               _has_independent, _live_vertices, _splits_into_two)
+                               _has_independent, _last_two_split, _live_vertices)
+
+ROOT = Path(__file__).resolve().parents[1]
+POOL_WITNESSES = ROOT / "tests" / "data" / "pack_hard_witnesses.txt"
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 PETERSEN = from_edge_list(10, [
@@ -91,6 +96,24 @@ def test_clique_union_fast_path_matches_search():
             fast = find_disjoint_independent_sets(g, k, p)
             slow = naive_disjoint_independent_sets(g, k, p)
             assert (fast is None) == (slow is None), (sizes, iso, k, p)
+
+
+def test_pack_hard_pool_witnesses_are_pinned():
+    # The first witness found is part of the search's contract: a pruning
+    # rule that changed one would have cut a live subtree.
+    golden = [line for line in POOL_WITNESSES.read_text().splitlines()
+              if not line.startswith("#")]
+    hosts = [json.loads(line) for line in
+             (ROOT / "perfbench" / "data" / "pack_hard.jsonl").read_text().splitlines()
+             if line.strip()]
+    assert len(golden) == len(hosts) == 72
+    for host, want in zip(hosts, golden):
+        find = find_clique_packing if host["mode"] == "clique" else find_disjoint_independent_sets
+        g = from_graph6(host["graph6"])
+        witness = find(g, host["k"], host["p"])
+        got = "none" if witness is None else ",".join(str(m) for m in witness.masks())
+        assert got == want, host
+        assert (witness is None) == (host["expected"] == "none"), host
 
 
 def test_verify_witness_rejects_bad_witnesses():
@@ -369,7 +392,8 @@ def test_two_split_helper_matches_brute_force():
         mask = rng.getrandbits(n) if n else 0
         expected = split_sizes(g, mask)
         for size in range(mask.bit_count() + 2):
-            assert _splits_into_two(g, mask, size) == (size in expected), (g, mask, size)
+            got = _last_two_split(g.adj, mask, size, 0)
+            assert (got is not None) == (size in expected), (g, mask, size)
 
 
 def test_two_split_helper_finds_conflicts_in_the_last_layer():
@@ -393,26 +417,62 @@ def test_two_split_helper_finds_conflicts_in_the_last_layer():
                     g = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
                     mask = g.full_mask()
                     for size in range(n + 1):
-                        assert not _splits_into_two(g, mask, size), (g, size)
+                        assert _last_two_split(g.adj, mask, size, 0) is None, (g, size)
                     # one vertex off the cycle makes it a bipartite path
                     cut = mask & ~(1 << perm[lead + r])
                     expected = split_sizes(g, cut)
                     assert expected
                     for size in range(n + 1):
-                        assert _splits_into_two(g, cut, size) == (size in expected), (g, size)
+                        got = _last_two_split(g.adj, cut, size, 0)
+                        assert (got is not None) == (size in expected), (g, size)
+
+
+def lex_first_split(g, mask, size, start):
+    """The first size-subset S of mask in lex order with min(S) >= start
+    such that S and mask - S are both independent; None when there is none."""
+    for chosen in combinations(bits(mask), size):
+        s = mask_of(chosen)
+        if chosen[0] >= start and g.is_independent(s) and g.is_independent(mask & ~s):
+            return s
+    return None
+
+
+def test_last_two_split_is_the_lex_first_split():
+    rng = random.Random(101)
+    found = forbidden = 0
+    for _ in range(400):
+        n = rng.randrange(0, 13)
+        g = random_graph(n, rng.randrange(0, n + 3), rng)  # sparse: mostly bipartite
+        mask = rng.getrandbits(n) if n else 0
+        lowest = (mask & -mask).bit_length() - 1
+        for size in range(1, mask.bit_count() + 1):
+            for start in sorted({0, lowest + 1, rng.randrange(0, n + 1)}):
+                got = _last_two_split(g.adj, mask, size, start)
+                assert got == lex_first_split(g, mask, size, start), (g, mask, size, start)
+                found += got is not None
+                forbidden += got is not None and start > lowest
+    assert found >= 500 and forbidden >= 200, (found, forbidden)
+
+
+def record_split_calls(monkeypatch):
+    """Route packing._last_two_split through a recorder of its arguments
+    and answers."""
+    seen = []
+
+    def recording(adj, avail, size, start):
+        got = _last_two_split(adj, avail, size, start)
+        seen.append((adj, avail, size, start, got))
+        return got
+
+    monkeypatch.setattr(packing, "_last_two_split", recording)
+    return seen
 
 
 def test_endgame_prunes_only_on_tight_hosts(monkeypatch):
     # On a tight host the last two sets are refuted when G[avail] is not
-    # bipartite or has no split with a side of the wanted size, and searched
-    # as before otherwise; the last set is avail itself.
-    seen = []
-
-    def recording(g, mask, size):
-        seen.append((g, mask, size))
-        return _splits_into_two(g, mask, size)
-
-    monkeypatch.setattr(packing, "_splits_into_two", recording)
+    # bipartite or has no split with a side of the wanted size, and built
+    # from the split otherwise; the last set is the rest of avail.
+    seen = record_split_calls(monkeypatch)
     rng = random.Random(67)
     cases = []
     while len(cases) < 240:
@@ -433,12 +493,55 @@ def test_endgame_prunes_only_on_tight_hosts(monkeypatch):
     assert searched >= 150 and nones >= 60, (searched, nones)
     ways = {"not bipartite": 0, "unbalanced": 0, "balanced": 0}
     mixed_targets = 0
-    for g, mask, size in seen[:3000]:
-        found = split_sizes(g, mask)
+    for adj, mask, size, *_ in seen[:3000]:
+        found = split_sizes(Graph(len(adj), adj), mask)
         way = "not bipartite" if not found else "balanced" if size in found else "unbalanced"
         ways[way] += 1
         mixed_targets += 2 * size != mask.bit_count()
     assert min(ways.values()) >= 20 and mixed_targets >= 20, (ways, mixed_targets)
+
+
+def test_endgame_prunes_only_with_a_start_above_the_lowest_vertex(monkeypatch):
+    # k = 1..4 on tight hosts. With sizes like (3, 3, 2) the next-to-last
+    # set shares its size with the set before it but not with the last one,
+    # so it starts above that set's first vertex while lower vertices may
+    # still be available; they must then go to the last set. Joining vertex
+    # 0 to all but one vertex leaves it in no independent set of more than
+    # two vertices, so it waits for a last set of size 2 or less.
+    seen = record_split_calls(monkeypatch)
+    rng = random.Random(103)
+    cases = []
+    while len(cases) < 300:
+        k = rng.randrange(1, 5)
+        low = rng.randrange(1, 4)
+        sizes = tuple(sorted([low] + [rng.randrange(low, low + 3) for _ in range(k - 1)],
+                             reverse=True))
+        if k >= 3 and rng.random() < 0.6:
+            sizes = sizes[:k - 2] + (sizes[k - 3],) + sizes[k - 1:]
+        n = sum(sizes)
+        if n > 12:
+            continue
+        g = random_graph(n, rng.randrange(n // 2, 4 * n // 5 + 2), rng)
+        if n > 1 and rng.random() < 0.5:
+            u = rng.randrange(1, n)
+            g = from_edge_list(n, [e for e in g.edges() if 0 not in e]
+                               + [(0, v) for v in range(1, n) if v != u])
+        if not is_clique_union(g):
+            cases.append((g, sizes))
+    searched, nones = assert_prunes_only(cases)
+    assert searched >= 150 and nones >= 60, (searched, nones)
+    assert sum(len(sizes) == 1 for _, sizes in cases) >= 10
+    above = [call for call in seen if call[3] > (call[1] & -call[1]).bit_length() - 1]
+    assert len(above) >= 500 and sum(call[4] is not None for call in above) >= 10, \
+        (len(above), sum(call[4] is not None for call in above))
+    # Last two sets of one size: the budget would let only min(avail) start
+    # the set, and the split holds it without being told.
+    equal = [(avail, start, got) for _, avail, size, start, got in seen
+             if 2 * size == avail.bit_count()]
+    assert all(start <= (avail & -avail).bit_length() - 1 for avail, start, _ in equal)
+    held = [got & avail & -avail for avail, _, got in equal if got is not None]
+    assert all(held) and len(held) >= 30 and len(seen) - len(equal) >= 500, \
+        (len(held), len(seen) - len(equal))
 
 
 # -- dead vertices at the root ----------------------------------------------------

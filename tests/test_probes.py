@@ -44,6 +44,14 @@ def test_rigid_detector():
     assert not is_rigid_small_clique_union(union_of_cliques([6, 6], 2), 4, 3)
 
 
+def test_rigid_detector_refuses_k_below_two():
+    # k - 1 divides s, so k = 1 once divided by zero
+    for k in (1, 0, -1):
+        with pytest.raises(PreconditionError, match="k >= 2"):
+            is_rigid_small_clique_union(union_of_cliques([3], 2), k, 3)
+    assert is_rigid_small_clique_union(union_of_cliques([3], 2), 2, 1)
+
+
 def test_dichotomy_probe_k4():
     report = probe_dichotomy(4, 3, trials=60, seed=0)
     assert report.consistent

@@ -35,6 +35,8 @@ if TYPE_CHECKING:
 
 ENV_GUARD = "TURANPACK_GUARD_N"
 DEFAULT_SEED = 0
+FORMATS = ("json", "csv", "graph6")
+CONFIG_INT_KEYS = ("seed", "guard_n", "budget")
 
 CLOSED_FORM_NOTE = (
     "value is the hub-join count 3+3(n-3)+t(n-3,p-1); the variant closed "
@@ -88,6 +90,14 @@ def parse_span(value: Any, name: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def check_known(params: dict[str, Any], known: tuple[str, ...]) -> None:
+    """Refuse keys the command does not read, so a misspelt one is not
+    silently ignored."""
+    extra = set(params) - set(known)
+    if extra:
+        raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
+
+
 def check_int_params(what: str, params: dict[str, Any],
                      names: tuple[str, ...] = ("n", "k", "p", "q")) -> None:
     """Reject non-integer values of the named parameters and a negative n
@@ -111,6 +121,13 @@ def load_config(path: str) -> dict[str, Any]:
             if not sep:
                 raise PreconditionError(f"config line must be key=value: {line!r}")
             config[key.strip()] = _coerce(raw.strip())
+    extra = set(config) - {*CONFIG_INT_KEYS, "format"}
+    if extra:
+        raise PreconditionError(f"unknown config keys: {', '.join(sorted(extra))}")
+    check_int_params("config", config, CONFIG_INT_KEYS)
+    if config.get("format", "json") not in FORMATS:
+        raise PreconditionError(
+            f"config format must be one of {', '.join(FORMATS)}, got {config['format']!r}")
     return config
 
 
@@ -168,9 +185,7 @@ def _ref_dict(ref) -> dict | None:
 def _query_from(pattern: str, params: dict[str, Any]) -> FormulaQuery:
     from .formulas import FormulaQuery
 
-    extra = set(params) - {"n", "p", "q", "k"}
-    if extra:
-        raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
+    check_known(params, ("n", "p", "q", "k"))
     check_int_params(f"pattern {pattern}", params)
     return FormulaQuery(pattern, n=params.get("n"), p=params.get("p"),
                         q=params.get("q"), k=params.get("k"))
@@ -206,6 +221,7 @@ def _table_rows(pattern: str, params: dict[str, Any],
     if pattern == "kKp-tight":
         raise PreconditionError(
             "kKp-tight fixes n = k*p; use the formula subcommand")
+    check_known(params, ("n", "p", "q", "k"))
     n_span = parse_span(params.get("n"), "n") if "n" in params else [None]
     p_span = parse_span(params.get("p"), "p") if "p" in params else [None]
     fixed = {key: params[key] for key in ("k", "q") if key in params}
@@ -324,6 +340,7 @@ def cmd_resolve(args, settings: Settings, started: float) -> int:
     from .shifting import resolve
 
     params = parse_kv(args.tokens)
+    check_known(params, ("p",))
     if "p" not in params:
         raise PreconditionError("resolve needs p=<int>")
     check_int_params("resolve", params, ("p",))
@@ -348,6 +365,7 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
                           verify_witness)
 
     params = parse_kv(args.tokens)
+    check_known(params, ("k", "p", "mode"))
     missing = [key for key in ("k", "p") if key not in params]
     if missing:
         raise PreconditionError(f"pack needs {', '.join(missing)}=<int>")
@@ -538,6 +556,7 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
 
     pattern = args.tokens[0]
     params = parse_kv(args.tokens[1:])
+    check_known(params, ("n", "k", "p", "q"))
     if "n" not in params:
         raise PreconditionError("oracle needs n=<int>")
     check_int_params(f"pattern {pattern}", params)
@@ -564,7 +583,10 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
     from .probes import probe_dichotomy, probe_value_sweep
 
     which = args.tokens[0]
+    if which not in ("5.1", "5.2"):
+        raise PreconditionError(f"unknown probe {which!r}; use 5.1 or 5.2")
     params = parse_kv(args.tokens[1:])
+    check_known(params, ("k", "p", "trials" if which == "5.1" else "window"))
     missing = [key for key in ("k", "p") if key not in params]
     if missing:
         raise PreconditionError(f"probe needs {', '.join(missing)}=<int>")
@@ -586,7 +608,7 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
         outcome = "counterexample" if report.counterexample else "none"
         record = ResultRecord("probe", {"which": which, **params}, outcome,
                               payload, seed=settings.seed)
-    elif which == "5.2":
+    else:
         report = probe_value_sweep(params["k"], params["p"],
                                    window=params.get("window"),
                                    guard_n=settings.guard_n)
@@ -605,8 +627,6 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
         }
         outcome = "none" if report.consistent else "counterexample"
         record = ResultRecord("probe", {"which": which, **params}, outcome, payload)
-    else:
-        raise PreconditionError(f"unknown probe {which!r}; use 5.1 or 5.2")
     emit(record, settings, started)
     return 0
 
@@ -616,9 +636,12 @@ def cmd_color(args, settings: Settings, started: float) -> int:
     from .packing import equitable_coloring, equitable_coloring_exact
 
     params = parse_kv(args.tokens)
+    check_known(params, ("classes", "exact"))
     if "classes" not in params:
         raise PreconditionError("color needs classes=<int>")
     check_int_params("color", params, ("classes",))
+    if params.get("exact", 0) not in (0, 1):
+        raise PreconditionError(f"exact must be 0 or 1, got {params['exact']!r}")
     g = read_graph(args)
     classes = params["classes"]
     parameters = {"classes": classes, "graph6": to_graph6(g)}
@@ -666,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="graph file (graph6 or edge list), - for stdin")
     common.add_argument("--output", help="also write the built graph6 to this path")
-    common.add_argument("--format", choices=["json", "csv", "graph6"])
+    common.add_argument("--format", choices=FORMATS)
     common.add_argument("--seed", type=int)
     common.add_argument("--verify", action="store_true",
                         help="re-check constructions via exact packing search")

@@ -290,6 +290,9 @@ def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescript
     if missing:
         raise PreconditionError(
             f"family {family} needs parameters: {', '.join(missing)}")
+    extra = set(params) - set(CLI_FAMILIES[family])
+    if extra:
+        raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
     # bool is a subclass of int, so JSON true/false must be refused by name.
     not_int = [name for name in CLI_FAMILIES[family]
                if not isinstance(params[name], int) or isinstance(params[name], bool)]

@@ -6,13 +6,15 @@ certifies that the host is a disjoint union of 7-cliques plus isolated
 vertices. The engine keeps a five-class partition: class 0 holds the s
 leftover vertices, classes 1..4 are independent with sizes (p, p, p, p-1);
 class 4 (or whichever class is currently one short) is the destination.
-Vertices move along accessible paths of the class digraph; budgeted repair
-moves stir stuck states; an exact packing search settles whatever is left.
+Every move is a list of relocation steps (vertex, from class, to class):
+witness moves route a vertex along an accessible path of the class digraph
+into the destination, budgeted stirring moves change a stuck state, and an
+exact packing search settles whatever is left.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError, SoundnessAlarm
 from .graphs import Graph, VertexSet, bits, clique_union_profile, is_clique_union
@@ -20,6 +22,10 @@ from .packing import (PackingWitness, VerificationReport, _degree_order, _greedy
                       find_disjoint_independent_sets, verify_witness)
 
 CLASS_COUNT = 5
+# Move kinds: a witness move ends the heuristic with four full classes, a
+# stirring move leaves another class deficient and the heuristic goes on.
+WITNESS_MOVES = ("path-shift", "double-solo", "solo-reroot")
+STIR_MOVES = ("re-root", "solo-swap")
 
 
 class PartitionState:
@@ -83,12 +89,17 @@ class PartitionState:
 class AuxDigraph(NamedTuple):
     """Movability digraph on the five classes: arc (i, j) iff some vertex
     of class i has no neighbor in class j; the witness is the lowest such
-    vertex. Accessible classes are those with a directed path to the
-    destination."""
+    vertex. hops maps each other class with a directed path to the
+    destination to the next class on a shortest one (lowest-index tie
+    break); those classes plus the destination are the accessible ones."""
 
     arcs: dict[tuple[int, int], int]
     destination: int
-    accessible: frozenset[int]
+    hops: dict[int, int]
+
+    @property
+    def accessible(self) -> frozenset[int]:
+        return frozenset({self.destination, *self.hops})
 
     @property
     def inaccessible(self) -> frozenset[int]:
@@ -107,12 +118,11 @@ class StructureCertificate(NamedTuple):
 
 
 class Move(NamedTuple):
+    """A move kind and its relocation steps (vertex, from class, to class),
+    applied in order."""
+
     kind: str
-    path: tuple[int, ...] = ()
-    movers: tuple[int, ...] = ()
-    leftovers: tuple[int, ...] = ()  # class-0 vertices entering a class
-    solo: int | None = None
-    target_class: int | None = None
+    steps: tuple[tuple[int, int, int], ...]
 
 
 class EngineTrace:
@@ -176,13 +186,8 @@ def build_aux_digraph(st: PartitionState) -> AuxDigraph:
                 free = classes[i] & outside[j]
                 if free:
                     arcs[(i, j)] = (free & -free).bit_length() - 1
-    return AuxDigraph(arcs, dest, frozenset({dest, *_next_hops(arcs, dest)}))
-
-
-def _next_hops(arcs: dict[tuple[int, int], int], dest: int) -> dict[int, int]:
-    """Reverse BFS from dest over the arcs: for each other class with a
-    path to dest, the next class on a shortest one (lowest-index tie
-    break). Its keys plus dest are the accessible classes."""
+    # Reverse BFS from dest: each class with a path to dest gets the next
+    # class on a shortest one.
     hops: dict[int, int] = {}
     frontier = [dest]
     while frontier:
@@ -193,18 +198,17 @@ def _next_hops(arcs: dict[tuple[int, int], int], dest: int) -> dict[int, int]:
                     hops[i] = j
                     nxt.append(i)
         frontier = nxt
-    return hops
+    return AuxDigraph(arcs, dest, hops)
 
 
 def accessible_path(aux: AuxDigraph, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shortest class path from start to the destination plus the arc
     witnesses as movers."""
-    if start not in aux.accessible:
+    if start != aux.destination and start not in aux.hops:
         raise PreconditionError(f"class {start} is not accessible")
-    hops = _next_hops(aux.arcs, aux.destination)
     path = [start]
     while path[-1] != aux.destination:
-        path.append(hops[path[-1]])
+        path.append(aux.hops[path[-1]])
     movers = tuple(aux.arcs[(i, j)] for i, j in zip(path, path[1:]))
     return tuple(path), movers
 
@@ -230,13 +234,22 @@ def apply_shift(st: PartitionState, path: tuple[int, ...],
         raise PreconditionError("path must visit at least two distinct classes")
     if len(movers) != len(path) - 1:
         raise PreconditionError("need exactly one mover per path arc")
+    return _relocate(st, zip(movers, path, path[1:]), exempt=None)
+
+
+def _relocate(st: PartitionState, steps: Iterable[tuple[int, int, int]],
+              exempt: int | None = 0) -> PartitionState:
+    """Apply the steps (v, i, j) in order: move v from class i to class j.
+    v must lie in class i and have no neighbor in class j as the classes
+    stand at that step; class `exempt` (class 0, which need not be
+    independent) is not checked as a target."""
     classes = list(st.classes)
-    for step, (i, j) in enumerate(zip(path, path[1:])):
-        v = movers[step]
+    adj = st.graph.adj
+    for v, i, j in steps:
         bit = 1 << v
         if not classes[i] & bit:
             raise PreconditionError(f"mover {v} is not in class {i}")
-        if st.graph.adj[v] & classes[j]:
+        if j != exempt and adj[v] & classes[j]:
             raise PreconditionError(f"mover {v} has neighbors in class {j}")
         classes[i] &= ~bit
         classes[j] |= bit
@@ -262,24 +275,31 @@ def check_blocked_domination(st: PartitionState, aux: AuxDigraph) -> bool:
 
 
 def propose_moves(st: PartitionState, aux: AuxDigraph,
-                  last_swap: tuple[int, int] | None = None) -> list[Move]:
+                  undo: tuple[int, int, int] | None = None) -> list[Move]:
     """Candidate moves in priority order. The first three kinds produce a
-    witness immediately; the last two stir a stuck state."""
-    return list(iter_moves(st, aux, last_swap))
+    witness immediately; the last two stir a stuck state. A stirring move
+    whose last step equals undo (the reverse of the previous stirring
+    move's first step) is skipped."""
+    return list(iter_moves(st, aux, undo))
+
+
+def _path_steps(aux: AuxDigraph, start: int) -> tuple[tuple[int, int, int], ...]:
+    path, movers = accessible_path(aux, start)
+    return tuple(zip(movers, path, path[1:]))
 
 
 def iter_moves(st: PartitionState, aux: AuxDigraph,
-               last_swap: tuple[int, int] | None = None) -> Iterator[Move]:
+               undo: tuple[int, int, int] | None = None) -> Iterator[Move]:
     """The moves of `propose_moves`, in the same order, built one at a time
     so the engine pays only for the move it takes."""
     g = st.graph
-    if 0 in aux.accessible:
-        path, movers = accessible_path(aux, 0)
-        yield Move("path-shift", path=path, movers=movers)
+    dest = aux.destination
+    if 0 in aux.hops:
+        yield Move("path-shift", _path_steps(aux, 0))
     class0 = st.classes[0]
     # Two nonadjacent leftover vertices sharing a solo neighbor in an
     # accessible class: swap them in after routing the shared neighbor away.
-    for j in sorted(aux.accessible - {0, aux.destination}):
+    for j in sorted(aux.hops.keys() - {0}):
         by_solo: dict[int, list[int]] = {}
         for x in bits(class0):
             v = solo_neighbor(st, x, j)
@@ -291,21 +311,27 @@ def iter_moves(st: PartitionState, aux: AuxDigraph,
                          if not g.has_edge(a, b)), None)
             if pair is None:
                 continue
-            path, movers = accessible_path(aux, j)
-            yield Move("double-solo", path=path, movers=movers,
-                       leftovers=pair, solo=v, target_class=j)
+            x, x2 = pair
+            path = _path_steps(aux, j)
+            if path[0][0] == v:
+                # The shared neighbor is the path's own mover: one leftover
+                # takes its place.
+                yield Move("double-solo", path + ((x, 0, j),))
+            else:
+                # Both leftovers replace it, and the path mover refills the
+                # destination.
+                yield Move("double-solo", ((v, j, 0), (x, 0, j), (x2, 0, j)) + path)
             break
     # One leftover vertex whose solo neighbor can move straight to the
     # destination: re-root in a single compound move.
-    dest_mask = st.classes[aux.destination]
+    dest_mask = st.classes[dest]
     for j in range(1, CLASS_COUNT):
-        if j == aux.destination:
+        if j == dest:
             continue
         for x in bits(class0):
             v = solo_neighbor(st, x, j)
             if v is not None and g.adj[v] & dest_mask == 0:
-                yield Move("solo-reroot", leftovers=(x,), solo=v,
-                           target_class=j)
+                yield Move("solo-reroot", ((v, j, dest), (x, 0, j)))
                 break
         else:
             continue
@@ -313,77 +339,17 @@ def iter_moves(st: PartitionState, aux: AuxDigraph,
     # Stirring moves: re-root the destination, or swap a leftover vertex
     # with its solo neighbor in an accessible class.
     for j in range(1, CLASS_COUNT):
-        if j != aux.destination and (j, aux.destination) in aux.arcs:
-            mover = aux.arcs[(j, aux.destination)]
-            if last_swap != (mover, j):
-                yield Move("re-root", path=(j, aux.destination),
-                           movers=(mover,), target_class=j)
+        if j != dest and (j, dest) in aux.arcs:
+            step = (aux.arcs[(j, dest)], j, dest)
+            if step != undo:
+                yield Move("re-root", (step,))
                 break
-    for j in sorted(aux.accessible - {0, aux.destination}):
+    for j in sorted(aux.hops.keys() - {0}):
         for x in bits(class0):
             v = solo_neighbor(st, x, j)
-            if v is not None and last_swap != (x, j):
-                yield Move("solo-swap", leftovers=(x,), solo=v,
-                           target_class=j)
+            if v is not None and (x, 0, j) != undo:
+                yield Move("solo-swap", ((v, j, 0), (x, 0, j)))
                 return
-
-
-def _apply_witness_move(st: PartitionState, move: Move) -> PartitionState:
-    """Execute one of the witness-producing move kinds."""
-    if move.kind == "path-shift":
-        return apply_shift(st, move.path, move.movers)
-    if move.kind == "double-solo":
-        x, x2 = move.leftovers
-        j = move.target_class
-        if move.movers[0] == move.solo:
-            classes = list(apply_shift(st, move.path, move.movers).classes)
-            classes[0] &= ~(1 << x)
-            classes[j] |= 1 << x
-            return PartitionState(st.graph, st.p, tuple(classes))
-        # Swap the solo neighbor out for both leftovers, then route the
-        # path mover onward to refill the destination.
-        classes = list(st.classes)
-        classes[j] = (classes[j] & ~(1 << move.solo)) | (1 << x) | (1 << x2)
-        classes[0] = (classes[0] & ~((1 << x) | (1 << x2))) | (1 << move.solo)
-        for step, (a, b) in enumerate(zip(move.path, move.path[1:])):
-            v = move.movers[step]
-            bit = 1 << v
-            if not classes[a] & bit or st.graph.adj[v] & classes[b]:
-                raise PreconditionError("double-solo move no longer applies")
-            classes[a] &= ~bit
-            classes[b] |= bit
-        return PartitionState(st.graph, st.p, tuple(classes))
-    if move.kind == "solo-reroot":
-        x = move.leftovers[0]
-        j = move.target_class
-        dest = st.destination
-        classes = list(st.classes)
-        classes[j] &= ~(1 << move.solo)
-        classes[dest] |= 1 << move.solo
-        classes[j] |= 1 << x
-        classes[0] &= ~(1 << x)
-        return PartitionState(st.graph, st.p, tuple(classes))
-    raise PreconditionError(f"not a witness move: {move.kind}")
-
-
-def _apply_stir_move(st: PartitionState, move: Move) -> tuple[PartitionState, tuple[int, int]]:
-    classes = list(st.classes)
-    if move.kind == "re-root":
-        j, dest = move.path
-        v = move.movers[0]
-        classes[j] &= ~(1 << v)
-        classes[dest] |= 1 << v
-        # Class j is now the deficient one; remember the move so the next
-        # proposal round does not immediately undo it.
-        return PartitionState(st.graph, st.p, tuple(classes)), (v, dest)
-    if move.kind == "solo-swap":
-        x = move.leftovers[0]
-        v = move.solo
-        j = move.target_class
-        classes[j] = (classes[j] & ~(1 << v)) | (1 << x)
-        classes[0] = (classes[0] & ~(1 << x)) | (1 << v)
-        return PartitionState(st.graph, st.p, tuple(classes)), (v, j)
-    raise PreconditionError(f"not a stirring move: {move.kind}")
 
 
 # -- certificate ---------------------------------------------------------------
@@ -501,18 +467,19 @@ def _heuristic_phase(g: Graph, p: int, budget: int,
     st = init_partition(g, p)
     if st is None:
         return None
-    last_swap: tuple[int, int] | None = None
+    undo: tuple[int, int, int] | None = None
     for _ in range(budget):
         aux = build_aux_digraph(st)
         if trace is not None:
             trace.inaccessible_sizes.append(len(aux.inaccessible))
-        move = next(iter_moves(st, aux, last_swap), None)
+        move = next(iter_moves(st, aux, undo), None)
         if move is None:
             return None
         if trace is not None:
             trace.moves.append(move.kind)
-        if move.kind in ("path-shift", "double-solo", "solo-reroot"):
-            ended = _apply_witness_move(st, move)
-            return ended.witness()
-        st, last_swap = _apply_stir_move(st, move)
+        st = _relocate(st, move.steps)
+        if move.kind in WITNESS_MOVES:
+            return st.witness()
+        v, i, j = move.steps[0]
+        undo = (v, j, i)
     return None

@@ -409,6 +409,54 @@ def test_non_integer_or_negative_parameters_exit_2(run_cli):
         assert out == "" and message in err.getvalue(), (argv, err.getvalue())
 
 
+def test_config_values_are_checked(run_cli, tmp_path):
+    # guard_n and budget once escaped as TypeError tracebacks (exit 1), and
+    # a misspelt key was silently ignored
+    config = tmp_path / "turanpack.conf"
+    host_text = "12\n0 1\n1 2\n"
+    for text, argv, message in [
+            ("guard_n = abc\n", ["pack", "k=2", "p=2", "--input", "-"],
+             "config needs integer parameters: guard_n"),
+            ("budget = abc\n", ["resolve", "p=3", "--input", "-"],
+             "config needs integer parameters: budget"),
+            ("seed = 1.5\n", ["probe", "5.1", "k=2", "p=3", "trials=1"],
+             "config needs integer parameters: seed"),
+            ("format = xml\n", ["table", "4Kp", "p=3", "n=12:13"],
+             "config format must be one of json, csv, graph6, got 'xml'"),
+            ("gaurd_n = 3\n", ["oracle", "K3", "n=6"], "unknown config keys: gaurd_n")]:
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli([*argv, "--config", str(config)], stdin=host_text)
+        assert code == 2, (text, err.getvalue())
+        assert out == "" and message in err.getvalue(), (text, err.getvalue())
+    config.write_text("seed = 3\nguard_n = 20\nbudget = 0\nformat = csv\n")
+    code, out = run_cli(["table", "4Kp", "p=3", "n=12:13", "--config", str(config)])
+    assert code == 0 and out.startswith("pattern,n,p,value")
+
+
+def test_unknown_parameters_exit_2(run_cli):
+    # these were recorded in the output but never read
+    for argv, message in [
+            (["probe", "5.1", "k=3", "p=3", "trails=7"], "unknown parameters: trails"),
+            (["probe", "5.2", "k=4", "p=3", "trials=7"], "unknown parameters: trials"),
+            (["color", "classes=3", "exact=no", "--input", "-"], "exact must be 0 or 1"),
+            (["color", "classes=3", "exact=2", "--input", "-"], "exact must be 0 or 1"),
+            (["color", "classes=3", "colours=3", "--input", "-"], "unknown parameters: colours"),
+            (["pack", "k=2", "p=2", "mod=clique", "--input", "-"], "unknown parameters: mod"),
+            (["resolve", "p=3", "k=4", "--input", "-"], "unknown parameters: k"),
+            (["oracle", "3K2", "n=6", "m=1"], "unknown parameters: m"),
+            (["table", "4Kp", "p=3", "n=12:13", "x=1"], "unknown parameters: x"),
+            (["construct", "J", "p=3", "s=3", "t=1"], "unknown parameters: t")]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv, stdin=C5_TEXT)
+        assert code == 2, argv
+        assert out == "" and message in err.getvalue(), (argv, err.getvalue())
+    code, out = run_cli(["color", "classes=3", "exact=0", "--input", "-"], stdin=C5_TEXT)
+    assert code == 0 and "exact" not in record_of(out)["parameters"]
+
+
 def run_cli_capped(argv):
     """The CLI in a subprocess under a 1 GiB address-space cap, where a
     huge allocation is a MemoryError instead of a swapping host."""

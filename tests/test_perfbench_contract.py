@@ -43,3 +43,9 @@ def test_tracer_finds_every_layer_and_declared_metric():
     expected = {m["name"] for m in declared["per_layer"]
                 if not m["name"].startswith(RUNNER_PREFIXES)}
     assert set(metrics) == expected
+
+
+def test_move_kinds_match_the_tracer():
+    # A renamed move kind would read 0 in traced runs without any error.
+    from turanpack.shifting import STIR_MOVES, WITNESS_MOVES
+    assert WITNESS_MOVES + STIR_MOVES == load_tracer().MOVE_KINDS

@@ -14,7 +14,7 @@ from turanpack import (AuxDigraph, EngineTrace, PackingWitness,
                        solo_neighbor, union_of_cliques, verify_certificate,
                        verify_witness)
 from turanpack.graphs import is_clique_union
-from turanpack.shifting import _apply_witness_move, iter_moves
+from turanpack.shifting import _relocate, iter_moves
 
 EMPTY14 = from_edge_list(14, [])
 
@@ -175,6 +175,11 @@ def test_apply_shift():
         apply_shift(st, (1, 4, 1), (0, 0))
     with pytest.raises(PreconditionError, match="one mover per"):
         apply_shift(st, (1, 4), (0, 1))
+    # class 0 is checked as a target too: 2 is adjacent to 11 and 12
+    with pytest.raises(PreconditionError, match="mover 2 has neighbors in class 0"):
+        apply_shift(st, (1, 0, 4), (2, 2))
+    through_zero = apply_shift(st, (1, 0, 4), (0, 0))
+    assert through_zero.classes == apply_shift(st, (1, 4), (0,)).classes
 
 
 def test_blocked_domination():
@@ -183,8 +188,7 @@ def test_blocked_domination():
     assert check_blocked_domination(st, aux)
     # falsely marking class 2 accessible breaks domination: leftover
     # vertices have no neighbors inside class 2
-    corrupt = AuxDigraph(aux.arcs, aux.destination,
-                         aux.accessible | frozenset({2}))
+    corrupt = AuxDigraph(aux.arcs, aux.destination, {**aux.hops, 2: 4})
     assert not check_blocked_domination(st, corrupt)
 
 
@@ -194,10 +198,10 @@ def test_double_solo_distinct_mover():
     moves = propose_moves(st, aux)
     assert moves and moves[0].kind == "double-solo"
     move = moves[0]
-    assert move.solo == 2
-    assert move.leftovers == (11, 12)
-    assert move.movers == (0,)
-    ended = _apply_witness_move(st, move)
+    # solo 2 leaves class 1 for leftovers 11 and 12, then mover 0 refills
+    # the destination
+    assert move.steps == ((2, 1, 0), (11, 0, 1), (12, 0, 1), (0, 1, 4))
+    ended = _relocate(st, move.steps)
     witness = ended.witness()
     assert witness is not None
     assert verify_witness(st.graph, witness, 4, 3).ok
@@ -213,8 +217,8 @@ def test_double_solo_mover_is_solo():
     moves = propose_moves(st, aux)
     assert moves and moves[0].kind == "double-solo"
     move = moves[0]
-    assert move.solo == 0 and move.movers == (0,)
-    ended = _apply_witness_move(st, move)
+    assert move.steps == ((0, 1, 4), (11, 0, 1))
+    ended = _relocate(st, move.steps)
     witness = ended.witness()
     assert witness is not None
     assert verify_witness(g, witness, 4, 3).ok
@@ -226,7 +230,7 @@ def test_path_shift_has_priority_when_class0_is_accessible():
     aux = build_aux_digraph(st)
     moves = propose_moves(st, aux)
     assert moves[0].kind == "path-shift"
-    ended = _apply_witness_move(st, moves[0])
+    ended = _relocate(st, moves[0].steps)
     assert ended.witness() is not None
 
 
@@ -243,10 +247,10 @@ def mover_is_solo_state():
     return PartitionState(from_edge_list(14, edges), 3, DOUBLE_SOLO_CLASSES)
 
 
-def assert_lazy_moves_agree(st, last_swap=None):
+def assert_lazy_moves_agree(st, undo=None):
     aux = build_aux_digraph(st)
-    eager = propose_moves(st, aux, last_swap)
-    assert next(iter_moves(st, aux, last_swap), None) == (eager[0] if eager else None)
+    eager = propose_moves(st, aux, undo)
+    assert next(iter_moves(st, aux, undo), None) == (eager[0] if eager else None)
 
 
 def test_iter_moves_first_move_on_crafted_states():
@@ -256,10 +260,8 @@ def test_iter_moves_first_move_on_crafted_states():
         assert_lazy_moves_agree(st)
         aux = build_aux_digraph(st)
         for move in propose_moves(st, aux):
-            if move.kind == "re-root":
-                assert_lazy_moves_agree(st, (move.movers[0], move.target_class))
-            if move.kind == "solo-swap":
-                assert_lazy_moves_agree(st, (move.leftovers[0], move.target_class))
+            if move.kind in ("re-root", "solo-swap"):
+                assert_lazy_moves_agree(st, move.steps[-1])
 
 
 def test_iter_moves_first_move_on_random_hosts():

@@ -312,15 +312,15 @@ def iter_moves(st: PartitionState, aux: AuxDigraph,
             if pair is None:
                 continue
             x, x2 = pair
-            path = _path_steps(aux, j)
-            if path[0][0] == v:
+            route = _path_steps(aux, j)
+            if route[0][0] == v:
                 # The shared neighbor is the path's own mover: one leftover
                 # takes its place.
-                yield Move("double-solo", path + ((x, 0, j),))
+                yield Move("double-solo", route + ((x, 0, j),))
             else:
                 # Both leftovers replace it, and the path mover refills the
                 # destination.
-                yield Move("double-solo", ((v, j, 0), (x, 0, j), (x2, 0, j)) + path)
+                yield Move("double-solo", ((v, j, 0), (x, 0, j), (x2, 0, j)) + route)
             break
     # One leftover vertex whose solo neighbor can move straight to the
     # destination: re-root in a single compound move.

@@ -99,7 +99,7 @@ def check_known(params: dict[str, Any], known: tuple[str, ...]) -> None:
 
 
 def check_int_params(what: str, params: dict[str, Any],
-                     names: tuple[str, ...] = ("n", "k", "p", "q")) -> None:
+                     names: tuple[str, ...]) -> None:
     """Reject non-integer values of the named parameters and a negative n
     before any arithmetic."""
     not_int = [key for key in names
@@ -183,12 +183,11 @@ def _ref_dict(ref) -> dict | None:
 
 
 def _query_from(pattern: str, params: dict[str, Any]) -> FormulaQuery:
-    from .formulas import FormulaQuery
+    from .formulas import FormulaQuery, lookup_pattern
 
-    check_known(params, ("n", "p", "q", "k"))
-    check_int_params(f"pattern {pattern}", params)
-    return FormulaQuery(pattern, n=params.get("n"), p=params.get("p"),
-                        q=params.get("q"), k=params.get("k"))
+    check_known(params, lookup_pattern(pattern).params)
+    check_int_params(f"pattern {pattern}", params, tuple(params))
+    return FormulaQuery(pattern, **params)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -215,16 +214,16 @@ def cmd_formula(args, settings: Settings, started: float) -> int:
 
 def _table_rows(pattern: str, params: dict[str, Any],
                 settings: Settings) -> list[dict[str, Any]]:
-    from .formulas import REGIME_HUB_JOIN, binom2, dispatch_formula
+    from .formulas import REGIME_HUB_JOIN, binom2, dispatch_formula, lookup_pattern
     from .graphs import MAX_EDGE_LIST_N
 
     if pattern == "kKp-tight":
         raise PreconditionError(
             "kKp-tight fixes n = k*p; use the formula subcommand")
-    check_known(params, ("n", "p", "q", "k"))
+    check_known(params, lookup_pattern(pattern).params)
     n_span = parse_span(params.get("n"), "n") if "n" in params else [None]
     p_span = parse_span(params.get("p"), "p") if "p" in params else [None]
-    fixed = {key: params[key] for key in ("k", "q") if key in params}
+    fixed = {key: value for key, value in params.items() if key not in ("n", "p")}
     if len(p_span) * len(n_span) > MAX_EDGE_LIST_N:
         raise SizeGuardError(
             f"table guard: {len(p_span) * len(n_span)} rows > {MAX_EDGE_LIST_N}")
@@ -314,13 +313,7 @@ def cmd_construct(args, settings: Settings, started: float) -> int:
         raise PreconditionError("construct renders as json or graph6")
     payload = {
         **graph_payload(g),
-        "descriptor": {
-            "family": desc.family,
-            "parameters": desc.parameters,
-            "expected_edges": desc.expected_edges,
-            "claim": list(desc.claim) if desc.claim else None,
-            "claim_side": desc.claim_side,
-        },
+        "descriptor": {**desc._asdict(), "claim": list(desc.claim) if desc.claim else None},
     }
     if settings.verify:
         payload["claim_verified"] = claim_holds(g, desc, guard_n=settings.guard_n)
@@ -523,47 +516,25 @@ def cmd_verify(args, settings: Settings, started: float) -> int:
     return 2 if failures else 0
 
 
-def pattern_sizes(pattern: str, params: dict[str, Any]) -> tuple[int, ...]:
-    compact = re.fullmatch(r"(\d*)K(\d+)", pattern)
-    if compact:
-        count = int(compact.group(1)) if compact.group(1) else 1
-        return (int(compact.group(2)),) * count
-    if pattern == "Kp":
-        return (params["p"],)
-    if pattern == "kK2":
-        return (2,) * params["k"]
-    if pattern in ("2Kp", "3Kp", "4Kp"):
-        return (params["p"],) * int(pattern[0])
-    if pattern == "kKp-tight":
-        if params.get("n") != params["k"] * params["p"]:
-            raise PreconditionError("kKp-tight needs n = k*p")
-        return (params["p"],) * params["k"]
-    if pattern == "KpKq":
-        if not params["q"] > params["p"]:
-            raise PreconditionError("KpKq needs q > p")
-        return (params["p"], params["q"])
-    if pattern == "f3":
-        raise PreconditionError(
-            "f3 is a minimum-edge quantity; the exhaustive oracle only "
-            "maximizes edges of pattern-free hosts")
-    raise PreconditionError(f"unknown pattern {pattern!r}")
-
-
 def cmd_oracle(args, settings: Settings, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: oracle <pattern> n=<int> [k=..] [p=..] [q=..]")
+    from .formulas import FormulaQuery, lookup_pattern, pattern_cliques
     from .oracle import exhaustive_ex_sizes
 
     pattern = args.tokens[0]
     params = parse_kv(args.tokens[1:])
-    check_known(params, ("n", "k", "p", "q"))
+    # A compact pattern such as 3K2 names its cliques; the oracle reads the
+    # host size n on top of the keys of a named pattern.
+    compact = re.fullmatch(r"(\d*)K(\d+)", pattern)
+    check_known(params, ("n",) if compact else ("n", *lookup_pattern(pattern).params))
     if "n" not in params:
         raise PreconditionError("oracle needs n=<int>")
-    check_int_params(f"pattern {pattern}", params)
-    try:
-        sizes = pattern_sizes(pattern, params)
-    except KeyError as exc:
-        raise PreconditionError(f"pattern {pattern} needs parameter {exc.args[0]}")
+    check_int_params(f"pattern {pattern}", params, tuple(params))
+    if compact:
+        sizes = (int(compact.group(2)),) * int(compact.group(1) or 1)
+    else:
+        sizes = pattern_cliques(FormulaQuery(pattern, **params))
     value, extremal = exhaustive_ex_sizes(params["n"], sizes,
                                           guard=settings.guard_n)
     record = ResultRecord(

@@ -10,7 +10,7 @@ complemented=True so that e(complement(built)) always equals the value.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import PreconditionError, SizeGuardError
 from .formulas import ConstructionRef, binom2, hub_join_edges, turan_edges
@@ -147,146 +147,110 @@ def near_tight_witness(name: str, p: int) -> Graph:
     return union_of_cliques([size], 4 * p - 5)
 
 
-# -- descriptor plumbing -----------------------------------------------------
+# -- the family table --------------------------------------------------------
 
 
-def _build_base(family: str, params: dict) -> tuple[Graph, tuple[int, int] | None, str | None]:
-    """Return (base graph, claim pattern, claim side for the base graph)."""
-    if family == "turan":
-        n, p = params["n"], params["p"]
-        return turan_graph(n, p), (1, p + 1), "self"
-    if family == "hub-join":
-        k, n, p = params["k"], params["n"], params["p"]
-        return hub_join(k, n, p), (k, p), "self"
-    if family == "J":
-        p, s = params["p"], params["s"]
-        return rigid_clique_union(4, p, s), (4, p), "complement"
-    if family == "rigid-union":
-        k, p, s = params["k"], params["p"], params["s"]
-        return rigid_clique_union(k, p, s), (k, p), "complement"
-    if family == "tight-A":
-        k, p = params["k"], params["p"]
-        return tight_family_a(k, p), (k, p), "complement"
-    if family == "tight-B":
-        k, p, x = params["k"], params["p"], params["x"]
-        return tight_family_b(k, p, x), (k, p), "complement"
-    if family in ("G1", "G2", "G3", "G4", "G5"):
-        p = params["p"]
-        return near_tight_witness(family, p), (4, p), "complement"
-    if family == "clique-block":
-        r, n = params["r"], params["n"]
-        if not 0 <= r <= n:
-            raise PreconditionError("clique block larger than host")
-        claim = ((r + 1) // 2, 2) if r % 2 == 1 else None
-        return union_of_cliques([r], n - r), claim, "self" if claim else None
-    if family == "empty":
-        n = params["n"]
-        k, p = params.get("k"), params.get("p")
-        claim = (k, p) if k is not None and p is not None and n < k * p else None
-        return empty_graph(n), claim, "complement" if claim else None
-    if family == "complete":
-        return complete_graph(params["n"]), None, None
-    raise PreconditionError(f"unknown construction family {family!r}")
+class Family(NamedTuple):
+    """One construction family, called with its parameters as keywords.
+
+    build returns the base graph, its claim (k, p) or None, and the side
+    that avoids k disjoint p-cliques. edges and vertices count the base
+    graph from the parameters alone, so build_ref can guard the size before
+    building and check the built graph against an independent count.
+    """
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    build: Callable[..., tuple[Graph, tuple[int, int] | None, str | None]]
+    edges: Callable[..., int]
+    vertices: Callable[..., int] = lambda n, **_: n
 
 
-def _flip_side(side: str | None) -> str | None:
-    if side is None:
-        return None
-    return "complement" if side == "self" else "self"
+def _near_tight(name: str) -> Family:
+    if name == "G4":  # K_8 plus a star on 8 vertices
+        edges, vertices = 35, (lambda p: 16)
+    else:
+        size, edges = _NEAR_TIGHT[name]
+        vertices = (lambda p: size + 4 * p - 5)
+    return Family(("p",), (),
+                  lambda p: (near_tight_witness(name, p), (4, p), "complement"),
+                  edges=lambda p: edges, vertices=vertices)
+
+
+def _clique_block(r: int, n: int) -> tuple[Graph, tuple[int, int] | None, str | None]:
+    if not 0 <= r <= n:
+        raise PreconditionError("clique block larger than host")
+    claim = ((r + 1) // 2, 2) if r % 2 == 1 else None
+    return union_of_cliques([r], n - r), claim, "self" if claim else None
+
+
+def _empty(n: int, k: int | None = None,
+           p: int | None = None) -> tuple[Graph, tuple[int, int] | None, str | None]:
+    # k and p only name the claim of a host smaller than the pattern
+    claim = (k, p) if k is not None and p is not None and n < k * p else None
+    return empty_graph(n), claim, "complement" if claim else None
+
+
+FAMILIES = {
+    "turan": Family(("n", "p"), (),
+                    lambda n, p: (turan_graph(n, p), (1, p + 1), "self"),
+                    edges=turan_edges),
+    "hub-join": Family(("k", "n", "p"), (),
+                       lambda k, n, p: (hub_join(k, n, p), (k, p), "self"),
+                       edges=hub_join_edges),
+    "J": Family(("p", "s"), (),
+                lambda p, s: (rigid_clique_union(4, p, s), (4, p), "complement"),
+                edges=lambda p, s: 7 * s, vertices=lambda p, s: 4 * p - 1 + s),
+    "rigid-union": Family(("k", "p", "s"), (),
+                          lambda k, p, s: (rigid_clique_union(k, p, s), (k, p), "complement"),
+                          edges=lambda k, p, s: (2 * k - 1) * s,
+                          vertices=lambda k, p, s: k * p - 1 + s),
+    "tight-A": Family(("k", "p"), (),
+                      lambda k, p: (tight_family_a(k, p), (k, p), "complement"),
+                      edges=lambda k, p: binom2(k + 1), vertices=lambda k, p: k * p),
+    "tight-B": Family(("k", "p", "x"), (),
+                      lambda k, p, x: (tight_family_b(k, p, x), (k, p), "complement"),
+                      edges=lambda k, p, x: k * p - p + 1, vertices=lambda k, p, x: k * p),
+    **{name: _near_tight(name) for name in ("G1", "G2", "G3", "G4", "G5")},
+    "clique-block": Family(("r", "n"), (), _clique_block, edges=lambda r, n: binom2(r)),
+    "empty": Family(("n",), ("k", "p"), _empty, edges=lambda n, **_: 0),
+    "complete": Family(("n",), (), lambda n: (complete_graph(n), None, None), edges=binom2),
+}
+
+# CLI-facing registry: the parameters each family takes.
+CLI_FAMILIES = {name: (*family.required, *family.optional)
+                for name, family in FAMILIES.items()}
+
+
+_OTHER_SIDE = {"self": "complement", "complement": "self", None: None}
 
 
 def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
     """Resolve a ConstructionRef into a graph plus its descriptor."""
-    if ref.family not in CLI_FAMILIES:
+    family = FAMILIES.get(ref.family)
+    if family is None:
         raise PreconditionError(f"unknown construction family {ref.family!r}")
-    n = _vertex_count(ref.family, ref.params)
+    args = {name: ref.params[name] for name in family.required}
+    args.update((name, ref.params[name]) for name in family.optional if name in ref.params)
+    n = family.vertices(**args)
     if n > MAX_EDGE_LIST_N:
         raise SizeGuardError(f"construct guard: {ref.family} has n={n} > {MAX_EDGE_LIST_N}")
-    base, claim, side = _build_base(ref.family, ref.params)
-    g = complement(base) if ref.complemented else base
+    g, claim, side = family.build(**args)
+    edges = family.edges(**args)
     if ref.complemented:
-        side = _flip_side(side)
-    desc = ConstructionDescriptor(
-        family=ref.family,
-        parameters=dict(ref.params),
-        expected_edges=_expected_edges(ref),
-        claim=claim,
-        claim_side=side,
-    )
-    if g.edge_count() != desc.expected_edges:
+        g, side, edges = complement(g), _OTHER_SIDE[side], binom2(n) - edges
+    if g.edge_count() != edges:
         raise PreconditionError(
             f"construction {ref.family} edge count {g.edge_count()} != "
-            f"expected {desc.expected_edges}")
-    return g, desc
-
-
-def _vertex_count(family: str, params: dict) -> int:
-    """Vertex count of the family's base graph, from its parameters alone."""
-    if family in ("J", "rigid-union"):
-        k = 4 if family == "J" else params["k"]
-        return k * params["p"] - 1 + params["s"]
-    if family in ("tight-A", "tight-B"):
-        return params["k"] * params["p"]
-    if family in _NEAR_TIGHT:
-        return _NEAR_TIGHT[family][0] + 4 * params["p"] - 5
-    if family == "G4":
-        return 16
-    return params["n"]
-
-
-def _expected_edges(ref: ConstructionRef) -> int:
-    """Closed-form edge count of the graph build_ref returns."""
-    family, params = ref.family, ref.params
-    if family == "turan":
-        base = turan_edges(params["n"], params["p"])
-    elif family == "hub-join":
-        base = hub_join_edges(params["k"], params["n"], params["p"])
-    elif family in ("J", "rigid-union"):
-        k = 4 if family == "J" else params["k"]
-        base = (2 * k - 1) * params["s"]
-    elif family == "tight-A":
-        base = binom2(params["k"] + 1)
-    elif family == "tight-B":
-        base = params["k"] * params["p"] - params["p"] + 1
-    elif family in _NEAR_TIGHT:
-        base = _NEAR_TIGHT[family][1]
-    elif family == "G4":
-        base = 35
-    elif family == "clique-block":
-        base = binom2(params["r"])
-    elif family == "empty":
-        base = 0
-    elif family == "complete":
-        base = binom2(params["n"])
-    else:  # pragma: no cover - _build_base already rejected it
-        raise PreconditionError(f"unknown construction family {family!r}")
-    return binom2(_vertex_count(family, params)) - base if ref.complemented else base
-
-
-# CLI-facing family registry: which parameters each family takes.
-CLI_FAMILIES = {
-    "turan": ("n", "p"),
-    "hub-join": ("k", "n", "p"),
-    "J": ("p", "s"),
-    "rigid-union": ("k", "p", "s"),
-    "tight-A": ("k", "p"),
-    "tight-B": ("k", "p", "x"),
-    "G1": ("p",),
-    "G2": ("p",),
-    "G3": ("p",),
-    "G4": ("p",),
-    "G5": ("p",),
-    "clique-block": ("r", "n"),
-    "empty": ("n",),
-    "complete": ("n",),
-}
+            f"expected {edges}")
+    return g, ConstructionDescriptor(ref.family, dict(ref.params), edges, claim, side)
 
 
 def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescriptor]:
     """CLI entry: build the family's base graph (never complemented)."""
-    if family not in CLI_FAMILIES:
+    if family not in FAMILIES:
         raise PreconditionError(f"unknown construction family {family!r}")
-    missing = [name for name in CLI_FAMILIES[family] if name not in params]
+    missing = [name for name in FAMILIES[family].required if name not in params]
     if missing:
         raise PreconditionError(
             f"family {family} needs parameters: {', '.join(missing)}")
@@ -294,8 +258,8 @@ def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescript
     if extra:
         raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
     # bool is a subclass of int, so JSON true/false must be refused by name.
-    not_int = [name for name in CLI_FAMILIES[family]
-               if not isinstance(params[name], int) or isinstance(params[name], bool)]
+    not_int = [name for name in CLI_FAMILIES[family] if name in params
+               and (not isinstance(params[name], int) or isinstance(params[name], bool))]
     if not_int:
         raise PreconditionError(
             f"family {family} needs integer parameters: {', '.join(not_int)}")

@@ -11,7 +11,7 @@ graph qualifies, so the value is C(n,2) under the regime
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import PreconditionError
 
@@ -44,29 +44,6 @@ class TuranValue(NamedTuple):
     value: int
     regime: str
     construction: ConstructionRef | None = None
-
-
-class FormulaQuery:
-    """Parsed formula request: which pattern, and its parameters."""
-
-    PATTERNS = ("Kp", "kK2", "kKp-tight", "2Kp", "KpKq", "3Kp", "4Kp", "f3")
-
-    def __init__(self, pattern: str, n: int | None = None, p: int | None = None,
-                 q: int | None = None, k: int | None = None):
-        if pattern not in self.PATTERNS:
-            raise PreconditionError(f"unknown pattern {pattern!r}")
-        self.pattern = pattern
-        self.n = n
-        self.p = p
-        self.q = q
-        self.k = k
-
-    @property
-    def s(self) -> int | None:
-        """Offset n - (4p-1) used by the four-clique machinery."""
-        if self.n is None or self.p is None:
-            return None
-        return self.n - (4 * self.p - 1)
 
 
 def binom2(n: int) -> int:
@@ -118,7 +95,7 @@ def ex_k_matchings(n: int, k: int) -> TuranValue:
     if n < 2 * k:
         return _small_host(n, k, 2)
     if 2 * n < 5 * k - 2:
-        ref = ConstructionRef("clique-block", {"r": 2 * k - 1, "n": n, "k": k},
+        ref = ConstructionRef("clique-block", {"r": 2 * k - 1, "n": n},
                               complemented=True)
         return TuranValue(binom2(2 * k - 1), REGIME_CLIQUE_BLOCK, ref)
     ref = ConstructionRef("hub-join", {"k": k, "n": n, "p": 2}, complemented=True)
@@ -178,8 +155,7 @@ def ex_3_cliques(n: int, p: int) -> TuranValue:
     if n < 3 * p:
         return _small_host(n, 3, p)
     if n == 3 * p:
-        tight = ex_tight_k_cliques(3, p)
-        return TuranValue(tight.value, tight.regime, tight.construction)
+        return ex_tight_k_cliques(3, p)
     if n <= 5 * p - 2:
         return TuranValue(binom2(n) - 5 * (n - 3 * p + 1), REGIME_CLIQUE_UNION)
     ref = ConstructionRef("hub-join", {"k": 3, "n": n, "p": p}, complemented=True)
@@ -199,8 +175,7 @@ def ex_4_cliques(n: int, p: int) -> TuranValue:
     if n < 4 * p:
         return _small_host(n, 4, p)
     if n == 4 * p:
-        tight = ex_tight_k_cliques(4, p)
-        return TuranValue(tight.value, tight.regime, tight.construction)
+        return ex_tight_k_cliques(4, p)
     offset = n - 4 * p
     if offset == 1:
         return TuranValue(binom2(n) - 15, REGIME_NEAR_TIGHT[0],
@@ -268,36 +243,85 @@ def extend_hub_join_value(n0: int, k: int, p: int, verified_value: int,
     return TuranValue(hub_join_edges(k, n, p), REGIME_HUB_JOIN_EXT, ref)
 
 
+def _tight_cliques(query: FormulaQuery) -> tuple[int, ...]:
+    if query.n != query.k * query.p:
+        raise PreconditionError("kKp-tight needs n = k*p")
+    return (query.p,) * query.k
+
+
+def _distinct_cliques(query: FormulaQuery) -> tuple[int, ...]:
+    if not query.q > query.p:
+        raise PreconditionError("KpKq needs q > p")
+    return (query.p, query.q)
+
+
+class Pattern(NamedTuple):
+    """One pattern of the catalogue: the parameters its operation reads, in
+    call order; the operation; and the clique sizes the pattern is made of
+    on the query's n-vertex host, None for the minimum-edge quantity f3."""
+
+    params: tuple[str, ...]
+    operation: Callable[..., TuranValue]
+    cliques: Callable[[FormulaQuery], tuple[int, ...]] | None
+
+
+PATTERNS = {
+    "Kp": Pattern(("n", "p"), ex_single_clique, lambda query: (query.p,)),
+    "kK2": Pattern(("n", "k"), ex_k_matchings, lambda query: (2,) * query.k),
+    "kKp-tight": Pattern(("k", "p"), ex_tight_k_cliques, _tight_cliques),
+    "2Kp": Pattern(("n", "p"), ex_2_cliques, lambda query: (query.p,) * 2),
+    "KpKq": Pattern(("n", "p", "q"), ex_two_distinct_cliques, _distinct_cliques),
+    "3Kp": Pattern(("n", "p"), ex_3_cliques, lambda query: (query.p,) * 3),
+    "4Kp": Pattern(("n", "p"), ex_4_cliques, lambda query: (query.p,) * 4),
+    "f3": Pattern(("n", "p"),
+                  lambda n, p: TuranValue(f3_min_edges(n, p), "min-edges-3-blocks"), None),
+}
+
+
+def lookup_pattern(name: str) -> Pattern:
+    """The catalogue entry of a pattern name."""
+    if name not in PATTERNS:
+        raise PreconditionError(f"unknown pattern {name!r}")
+    return PATTERNS[name]
+
+
+class FormulaQuery:
+    """Parsed formula request: which pattern, and its parameters."""
+
+    PATTERNS = tuple(PATTERNS)
+
+    def __init__(self, pattern: str, n: int | None = None, p: int | None = None,
+                 q: int | None = None, k: int | None = None):
+        lookup_pattern(pattern)
+        self.pattern = pattern
+        self.n = n
+        self.p = p
+        self.q = q
+        self.k = k
+
+
+def _arguments(query: FormulaQuery) -> list[int]:
+    """The values of the parameters the query's pattern reads, in call order."""
+    names = PATTERNS[query.pattern].params
+    values = [getattr(query, name) for name in names]
+    missing = [name for name, value in zip(names, values) if value is None]
+    if missing:
+        raise PreconditionError(
+            f"pattern {query.pattern} needs parameters: {', '.join(missing)}")
+    return values
+
+
 def dispatch_formula(query: FormulaQuery) -> TuranValue:
-    """Route a FormulaQuery to the matching operation."""
+    """Route a FormulaQuery to its pattern's operation."""
+    return PATTERNS[query.pattern].operation(*_arguments(query))
 
-    def need(**kwargs) -> dict:
-        missing = [name for name, value in kwargs.items() if value is None]
-        if missing:
-            raise PreconditionError(
-                f"pattern {query.pattern} needs parameters: {', '.join(missing)}")
-        return kwargs
 
-    if query.pattern == "Kp":
-        args = need(n=query.n, p=query.p)
-        return ex_single_clique(args["n"], args["p"])
-    if query.pattern == "kK2":
-        args = need(n=query.n, k=query.k)
-        return ex_k_matchings(args["n"], args["k"])
-    if query.pattern == "kKp-tight":
-        args = need(k=query.k, p=query.p)
-        return ex_tight_k_cliques(args["k"], args["p"])
-    if query.pattern == "2Kp":
-        args = need(n=query.n, p=query.p)
-        return ex_2_cliques(args["n"], args["p"])
-    if query.pattern == "KpKq":
-        args = need(n=query.n, p=query.p, q=query.q)
-        return ex_two_distinct_cliques(args["n"], args["p"], args["q"])
-    if query.pattern == "3Kp":
-        args = need(n=query.n, p=query.p)
-        return ex_3_cliques(args["n"], args["p"])
-    if query.pattern == "4Kp":
-        args = need(n=query.n, p=query.p)
-        return ex_4_cliques(args["n"], args["p"])
-    args = need(n=query.n, p=query.p)
-    return TuranValue(f3_min_edges(args["n"], args["p"]), "min-edges-3-blocks")
+def pattern_cliques(query: FormulaQuery) -> tuple[int, ...]:
+    """The clique sizes that make up the query's pattern."""
+    cliques = PATTERNS[query.pattern].cliques
+    if cliques is None:
+        raise PreconditionError(
+            f"{query.pattern} is a minimum-edge quantity; the exhaustive oracle only "
+            "maximizes edges of pattern-free hosts")
+    _arguments(query)  # refuses a missing parameter
+    return cliques(query)

@@ -395,7 +395,7 @@ def test_non_integer_or_negative_parameters_exit_2(run_cli):
             (["formula", "Kp", "n=-1", "p=3"], "vertex count must be nonnegative"),
             (["oracle", "3K2", "n=abc"], "needs integer parameters: n"),
             (["oracle", "KpKq", "n=6", "p=2", "q=abc"], "needs integer parameters: q"),
-            (["table", "4Kp", "p=3", "k=x", "n=12:13"], "needs integer parameters: k"),
+            (["table", "kK2", "k=x", "n=6:7"], "needs integer parameters: k"),
             (["table", "4Kp", "p=3", "n=-2:2"], "vertex count must be nonnegative"),
             (["pack", "k=abc", "p=2", "--input", "-"], "pack needs integer parameters: k"),
             (["resolve", "p=abc", "--input", "-"], "resolve needs integer parameters: p"),

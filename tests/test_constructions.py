@@ -5,17 +5,19 @@ avoids a clique pattern; `build_ref` is additionally pinned against the
 complement-count invariant used by the table verifier.
 """
 
+from itertools import product
+
 import networkx as nx
 import pytest
 
-from turanpack import (ConstructionRef, PreconditionError, SizeGuardError, binom2,
-                       build_family, build_ref, claim_holds,
-                       clique_component_sizes, complement, ex_4_cliques,
+from turanpack import (ConstructionRef, FormulaQuery, PreconditionError, SizeGuardError,
+                       binom2, build_family, build_ref, claim_holds,
+                       clique_component_sizes, complement, dispatch_formula, ex_4_cliques,
                        from_graph6, hub_join, hub_join_edges,
                        near_tight_witness, rigid_clique_union, star_graph,
                        tight_family_a, tight_family_b, to_graph6, turan_graph,
                        union_of_cliques)
-from turanpack.constructions import CLI_FAMILIES, _vertex_count
+from turanpack.constructions import CLI_FAMILIES, FAMILIES
 from turanpack.graphs import MAX_EDGE_LIST_N
 
 
@@ -209,7 +211,7 @@ def test_build_family_vertex_count_and_cap():
     assert {family for family, _ in cases} == set(CLI_FAMILIES)
     for family, params in cases:
         g, _ = build_family(family, params)
-        assert g.n == _vertex_count(family, params), family
+        assert g.n == FAMILIES[family].vertices(**params), family
     assert build_family("empty", {"n": MAX_EDGE_LIST_N})[0].n == MAX_EDGE_LIST_N
     with pytest.raises(SizeGuardError, match=f"n={MAX_EDGE_LIST_N + 1} > {MAX_EDGE_LIST_N}"):
         build_family("complete", {"n": MAX_EDGE_LIST_N + 1})
@@ -247,3 +249,33 @@ def test_builds_are_deterministic():
     b = to_graph6(hub_join(4, 20, 3))
     assert a == b
     assert to_graph6(complement(complement(hub_join(4, 20, 3)))) == a
+
+
+
+def test_every_formula_reference_builds_and_replays():
+    # Every distinct construction reference the closed forms hand out over a
+    # small grid, with each host size and value it was handed out for.
+    refs = {}
+    for pattern, n, p, k, q in product(FormulaQuery.PATTERNS, range(31), range(2, 8),
+                                       range(1, 6), range(3, 9)):
+        try:
+            value = dispatch_formula(FormulaQuery(pattern, n=n, p=p, k=k, q=q))
+        except PreconditionError:
+            continue
+        ref = value.construction
+        if ref is None:
+            continue
+        host = k * p if pattern == "kKp-tight" else n
+        key = (ref.family, tuple(sorted(ref.params.items())), ref.complemented)
+        refs.setdefault(key, (ref, set()))[1].add((host, value.value))
+    assert len(refs) == 816
+    for ref, hits in refs.values():
+        built, _ = build_ref(ref)
+        for host, value in hits:
+            assert built.n == host, ref
+            assert binom2(built.n) - built.edge_count() == value, ref
+        # construct and verify rebuild a printed reference by its name and
+        # parameters, so every reference must be one they accept
+        base = complement(built) if ref.complemented else built
+        rebuilt, _ = build_family(ref.family, ref.params)
+        assert to_graph6(rebuilt) == to_graph6(base), ref

@@ -225,11 +225,21 @@ CLI_FAMILIES = {name: (*family.required, *family.optional)
 _OTHER_SIDE = {"self": "complement", "complement": "self", None: None}
 
 
+def _family(name: str, params: dict) -> Family:
+    """The table entry of a family, refusing an unknown name or a missing
+    required parameter."""
+    family = FAMILIES.get(name)
+    if family is None:
+        raise PreconditionError(f"unknown construction family {name!r}")
+    missing = [key for key in family.required if key not in params]
+    if missing:
+        raise PreconditionError(f"family {name} needs parameters: {', '.join(missing)}")
+    return family
+
+
 def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
     """Resolve a ConstructionRef into a graph plus its descriptor."""
-    family = FAMILIES.get(ref.family)
-    if family is None:
-        raise PreconditionError(f"unknown construction family {ref.family!r}")
+    family = _family(ref.family, ref.params)
     args = {name: ref.params[name] for name in family.required}
     args.update((name, ref.params[name]) for name in family.optional if name in ref.params)
     n = family.vertices(**args)
@@ -248,12 +258,7 @@ def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
 
 def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescriptor]:
     """CLI entry: build the family's base graph (never complemented)."""
-    if family not in FAMILIES:
-        raise PreconditionError(f"unknown construction family {family!r}")
-    missing = [name for name in FAMILIES[family].required if name not in params]
-    if missing:
-        raise PreconditionError(
-            f"family {family} needs parameters: {', '.join(missing)}")
+    _family(family, params)
     extra = set(params) - set(CLI_FAMILIES[family])
     if extra:
         raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")

@@ -9,7 +9,11 @@ class 4 (or whichever class is currently one short) is the destination.
 Every move is a list of relocation steps (vertex, from class, to class):
 witness moves route a vertex along an accessible path of the class digraph
 into the destination, budgeted stirring moves change a stuck state, and an
-exact packing search settles whatever is left.
+exact packing search settles whatever is left. The common case needs no
+digraph: when a vertex of class 0 has no neighbor in the destination, the
+digraph's first move is the one-step path-shift of the lowest such vertex,
+so an untraced run takes it directly and builds the digraph only for the
+states where class 0 has no such vertex.
 """
 
 from __future__ import annotations
@@ -158,25 +162,27 @@ def init_partition(g: Graph, p: int) -> PartitionState | None:
 # -- aux digraph ---------------------------------------------------------------
 
 
+def _neighborhood(adj: list[int], mask: int) -> int:
+    """Union of the neighborhoods of the vertices in mask. A vertex has no
+    neighbor in a class exactly when it lies outside the class's union
+    (adjacency is symmetric), so one union settles every arc into it."""
+    reach = 0
+    while mask:
+        low = mask & -mask
+        reach |= adj[low.bit_length() - 1]
+        mask ^= low
+    return reach
+
+
 def build_aux_digraph(st: PartitionState) -> AuxDigraph:
-    g = st.graph
     dest = st.destination
     if dest is None:
         raise PreconditionError("witness state has no destination class")
-    adj = g.adj
+    adj = st.graph.adj
     classes = st.classes
-    # A vertex has no neighbor in class j exactly when it lies outside the
-    # neighborhood of class j (adjacency is symmetric), so one union per
-    # class settles every arc into it.
     outside = [0] * CLASS_COUNT
     for j in range(1, CLASS_COUNT):
-        reach = 0
-        rest = classes[j]
-        while rest:
-            low = rest & -rest
-            reach |= adj[low.bit_length() - 1]
-            rest ^= low
-        outside[j] = ~reach
+        outside[j] = ~_neighborhood(adj, classes[j])
     arcs: dict[tuple[int, int], int] = {}
     # Arcs never target class 0: vertices shift between independent classes
     # only, while class 0 serves as a source.
@@ -469,6 +475,16 @@ def _heuristic_phase(g: Graph, p: int, budget: int,
         return None
     undo: tuple[int, int, int] | None = None
     for _ in range(budget):
+        if trace is None:
+            # When class 0 has a vertex with no neighbor in the destination,
+            # the reverse BFS sets hops[0] = dest, so the digraph's first
+            # move is the one-step path-shift of the lowest such vertex:
+            # take it without building the digraph. A trace records the
+            # digraph of every state, so traced runs build it.
+            dest = st.destination
+            free = st.classes[0] & ~_neighborhood(g.adj, st.classes[dest])
+            if free:
+                return _relocate(st, (((free & -free).bit_length() - 1, 0, dest),)).witness()
         aux = build_aux_digraph(st)
         if trace is not None:
             trace.inaccessible_sizes.append(len(aux.inaccessible))

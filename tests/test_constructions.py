@@ -199,6 +199,20 @@ def test_build_family_cli_names():
         build_family("turan", {"n": "nine", "p": 3})
 
 
+def test_build_ref_names_missing_parameters():
+    # Library callers who build references by hand get the CLI's message,
+    # not a KeyError.
+    for name, family in FAMILIES.items():
+        for key in family.required:
+            params = {other: 3 for other in family.required if other != key}
+            want = f"family {name} needs parameters: {key}"
+            for build in (lambda: build_ref(ConstructionRef(name, params)),
+                          lambda: build_family(name, params)):
+                with pytest.raises(PreconditionError) as exc:
+                    build()
+                assert str(exc.value) == want
+
+
 def test_build_family_vertex_count_and_cap():
     # The cap is checked on a count computed from the parameters alone, so
     # that count must be the built graph's n in every family.

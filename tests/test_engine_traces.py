@@ -13,8 +13,13 @@ a deliberate change of behaviour:
   only known hosts on which the other move kinds fire. The heuristic is
   called directly because some of these hosts take tens of seconds in the
   exact fallback.
+
+The traces are recorded with an `EngineTrace`, which makes the engine build
+the class digraph on every state; untraced runs skip it when the one-arc
+path-shift applies, so their outcomes are checked against the same file.
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -23,9 +28,11 @@ from collections import Counter
 from pathlib import Path
 
 from turanpack import (PackingWitness, check_preconditions, from_edge_list,
-                       from_graph6, rigid_clique_union, to_graph6)
+                       from_graph6, rigid_clique_union, shifting, to_graph6)
+from turanpack.graphs import bits, is_clique_union
 from turanpack.records import certificate_payload, witness_payload
-from turanpack.shifting import EngineTrace, _heuristic_phase, resolve
+from turanpack.shifting import (EngineTrace, Move, _heuristic_phase, build_aux_digraph,
+                                iter_moves, resolve)
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACES = ROOT / "tests" / "data" / "engine_traces.txt"
@@ -55,16 +62,24 @@ def joined(items):
     return ",".join(str(x) for x in items) or "-"
 
 
-def resolve_line(host):
-    g = from_graph6(host["graph6"])
-    trace = EngineTrace()
-    out = resolve(g, host["p"], trace=trace)
+def outcome_digest(out):
     if isinstance(out, PackingWitness):
         decided = {"outcome": "witness", "payload": witness_payload(out)}
     else:
         decided = {"outcome": "certificate", "payload": certificate_payload(out)}
     blob = json.dumps(decided, sort_keys=True, separators=(",", ":")).encode()
-    return " ".join(["resolve", hashlib.sha256(blob).hexdigest()[:12],
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def witness_field(out):
+    return "none" if out is None else joined(out.masks())
+
+
+def resolve_line(host):
+    g = from_graph6(host["graph6"])
+    trace = EngineTrace()
+    out = resolve(g, host["p"], trace=trace)
+    return " ".join(["resolve", outcome_digest(out),
                      joined(trace.moves), joined(trace.inaccessible_sizes),
                      str(int(trace.used_exact_fallback))])
 
@@ -100,11 +115,15 @@ def near_rigid_hosts(rng, draws):
             yield g, p
 
 
+@functools.cache
+def near_rigid_set():
+    return tuple(near_rigid_hosts(random.Random("near-rigid"), NEAR_RIGID_DRAWS))
+
+
 def near_rigid_line(g, p):
     trace = EngineTrace()
     out = _heuristic_phase(g, p, 10 * g.n, trace)
-    witness = "none" if out is None else joined(out.masks())
-    return " ".join(["near-rigid", to_graph6(g), str(p), witness,
+    return " ".join(["near-rigid", to_graph6(g), str(p), witness_field(out),
                      joined(trace.moves), joined(trace.inaccessible_sizes)])
 
 
@@ -113,8 +132,7 @@ def resolve_lines():
 
 
 def near_rigid_lines():
-    rng = random.Random("near-rigid")
-    return [near_rigid_line(g, p) for g, p in near_rigid_hosts(rng, NEAR_RIGID_DRAWS)]
+    return [near_rigid_line(g, p) for g, p in near_rigid_set()]
 
 
 def pinned(kind):
@@ -142,6 +160,53 @@ def test_near_rigid_traces_are_pinned():
     # The stirring and solo moves fire on these hosts, not only on crafted
     # partitions.
     assert kinds["double-solo"] and kinds["solo-reroot"] and kinds["re-root"]
+
+
+def test_untraced_engine_keeps_the_pinned_outcomes():
+    # Without a trace the engine may skip the digraph build; the outcomes
+    # must be the traced ones.
+    hosts = load_corpora().resolve_corpus(1)
+    digests = [outcome_digest(resolve(from_graph6(host["graph6"]), host["p"]))
+               for host in hosts]
+    assert digests == [line.split(" ")[1] for line in pinned("resolve")]
+    witnesses = [witness_field(_heuristic_phase(g, p, 10 * g.n, None))
+                 for g, p in near_rigid_set()]
+    assert witnesses == [line.split(" ")[3] for line in pinned("near-rigid")]
+
+
+def test_direct_path_shift_is_the_digraphs_first_move(monkeypatch):
+    """Wherever class 0 has a vertex with no neighbor in the destination,
+    the digraph's first move is the one-step path-shift of the lowest such
+    vertex, on every state the traced heuristic visits (after stirring
+    moves too)."""
+    visited = []
+
+    def recording(st, aux, undo=None):
+        visited.append((st, undo))
+        return iter_moves(st, aux, undo)
+
+    monkeypatch.setattr(shifting, "iter_moves", recording)
+    corpora = load_corpora()
+    for seed in (1, 2, 3):
+        for host in corpora.resolve_corpus(seed):
+            g = from_graph6(host["graph6"])
+            if not is_clique_union(g):  # as resolve does
+                _heuristic_phase(g, host["p"], 10 * g.n, EngineTrace())
+    # As the pinned near-rigid lines do, clique unions included: those are
+    # the hosts that stir longest.
+    for g, p in near_rigid_set():
+        _heuristic_phase(g, p, 10 * g.n, EngineTrace())
+    monkeypatch.undo()
+    direct = 0
+    for st, undo in visited:
+        dest = st.destination
+        free = [v for v in bits(st.classes[0]) if not st.graph.adj[v] & st.classes[dest]]
+        if free:
+            move = next(iter_moves(st, build_aux_digraph(st), undo))
+            assert move == Move("path-shift", ((free[0], 0, dest),))
+            direct += 1
+    stirred = sum(undo is not None for _, undo in visited)
+    assert direct > 7000 and stirred > 4000, (direct, stirred)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

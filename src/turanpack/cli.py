@@ -82,6 +82,8 @@ def parse_span(value: Any, name: str) -> list[int]:
     if not m:
         raise PreconditionError(f"{name} must be an integer or a:b range, got {value!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        raise PreconditionError(f"{name}={value} is a reversed range; write {hi}:{lo}")
     from .graphs import MAX_EDGE_LIST_N
 
     if hi - lo + 1 > MAX_EDGE_LIST_N:
@@ -447,9 +449,11 @@ def _verify_one(obj: Any) -> tuple[bool | None, str]:
         sets = tuple(VertexSet.from_members(g.n, members)
                      for members in recorded("sets", "a list of integer lists"))
         witness = PackingWitness(sets)
-        k = param("k", "an integer") if "k" in parameters else len(sets)
+        if command == "resolve":
+            k, mode = 4, "independent"
+        else:
+            k, mode = param("k", "an integer"), parameters.get("mode", "independent")
         p = param("p", "an integer")
-        mode = parameters.get("mode", "independent")
         report = verify_witness(g, witness, k, p, mode)
         return report.ok, report.violation or "witness checks out"
     if outcome == "certificate" and command == "resolve":
@@ -467,9 +471,13 @@ def _verify_one(obj: Any) -> tuple[bool | None, str]:
         return report.ok, report.violation or "certificate checks out"
     if outcome == "witness" and command == "color":
         g = parse_graph_text(param("graph6", "a string"))
+        classes = param("classes", "an integer")
         coloring = EquitableColoring(tuple(
             VertexSet.from_members(g.n, members)
             for members in recorded("classes", "a list of integer lists")))
+        if len(coloring.classes) != classes:
+            return False, (f"payload has {len(coloring.classes)} classes, "
+                           f"parameters say {classes}")
         report = verify_equitable_coloring(g, coloring)
         return report.ok, report.violation or "coloring checks out"
     if command == "construct" and outcome == "value":

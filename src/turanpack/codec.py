@@ -119,14 +119,18 @@ def parse_graph_text(text: str) -> Graph:
     """Autodetect graph6 vs edge-list text.
 
     graph6 bytes are all >= '?' (63) and contain no whitespace; edge lists
-    contain digits/spaces, which fall below that range.
+    contain digits/spaces, which fall below that range. graph6 input holds
+    one graph: a non-blank line after it is refused, not ignored.
     """
     stripped = text.strip()
     if not stripped:
         raise PreconditionError("empty graph input")
-    first = stripped.splitlines()[0].strip()
-    if first.startswith(">>graph6<<"):
-        return from_graph6(first)
-    if " " not in first and all(63 <= ord(ch) <= 126 for ch in first):
+    first, *rest = stripped.splitlines()
+    first = first.strip()
+    if first.startswith(">>graph6<<") or (
+            " " not in first and all(63 <= ord(ch) <= 126 for ch in first)):
+        if any(line.strip() for line in rest):
+            raise PreconditionError("graph6 input holds more than one line; "
+                                    "give one graph per input")
         return from_graph6(first)
     return from_edge_list_text(text)

@@ -316,6 +316,19 @@ def clique_union_profile(g: Graph,
     return cliques, pool
 
 
+def rigid_clique_profile(g: Graph, k: int, s: int) -> tuple[list[int], int] | None:
+    """clique_union_profile(g) when g is exactly s/(k-1) copies of the
+    (2k-1)-clique plus isolated vertices, with s >= 1 divisible by k-1;
+    otherwise None. The rigid outcome of the k-block dichotomy; needs k >= 2."""
+    if s < 1 or s % (k - 1) != 0:
+        return None
+    profile = clique_union_profile(g)
+    if (profile is None or len(profile[0]) != s // (k - 1)
+            or any(m.bit_count() != 2 * k - 1 for m in profile[0])):
+        return None
+    return profile
+
+
 def clique_component_sizes(g: Graph) -> list[int] | None:
     """If every component induces a complete graph, return the sorted
     (descending) size list; otherwise None. Singletons count as size 1."""

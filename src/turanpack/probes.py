@@ -17,8 +17,8 @@ from .codec import to_graph6
 from .errors import PreconditionError, SizeGuardError
 from .formulas import binom2, ex_4_cliques, hub_join_edges
 from .constructions import hub_join, rigid_clique_union
-from .graphs import (MAX_EDGE_LIST_N, Graph, clique_union_profile, complement,
-                     from_edge_list)
+from .graphs import (MAX_EDGE_LIST_N, Graph, complement, from_edge_list,
+                     rigid_clique_profile)
 from .packing import find_clique_packing, find_disjoint_independent_sets, verify_witness
 
 SAMPLER_ATTEMPTS = 5000
@@ -67,11 +67,7 @@ def is_rigid_small_clique_union(g: Graph, k: int, s: int) -> bool:
     probe_dichotomy does."""
     if k < 2:
         raise PreconditionError("need k >= 2")
-    if s < 1 or s % (k - 1) != 0:
-        return False
-    profile = clique_union_profile(g)
-    return (profile is not None and len(profile[0]) == s // (k - 1)
-            and all(m.bit_count() == 2 * k - 1 for m in profile[0]))
+    return rigid_clique_profile(g, k, s) is not None
 
 
 class DichotomyProbeReport:

@@ -12,8 +12,8 @@ into the destination, budgeted stirring moves change a stuck state, and an
 exact packing search settles whatever is left. The common case needs no
 digraph: when a vertex of class 0 has no neighbor in the destination, the
 digraph's first move is the one-step path-shift of the lowest such vertex,
-so an untraced run takes it directly and builds the digraph only for the
-states where class 0 has no such vertex.
+so the engine takes it directly and builds the digraph only for the states
+where class 0 has no such vertex.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError, SoundnessAlarm
-from .graphs import Graph, VertexSet, bits, clique_union_profile, is_clique_union
+from .graphs import Graph, VertexSet, bits, is_clique_union, rigid_clique_profile
 from .packing import (PackingWitness, VerificationReport, _degree_order, _greedy_fill,
                       find_disjoint_independent_sets, verify_witness)
 
@@ -130,7 +130,9 @@ class Move(NamedTuple):
 
 
 class EngineTrace:
-    """Optional per-rebuild observations, kept for empirical study."""
+    """Optional record of a run: the kind of each move taken and the
+    inaccessible-class count of each digraph built. Passing one never
+    changes what the engine does."""
 
     def __init__(self):
         self.inaccessible_sizes: list[int] = []
@@ -367,13 +369,10 @@ def certify_k7_structure(g: Graph, p: int) -> StructureCertificate | None:
     if p < 1:
         raise PreconditionError("p must be positive")
     s = g.n - (4 * p - 1)
-    profile = clique_union_profile(g)
+    profile = rigid_clique_profile(g, 4, s)
     if profile is None:
         return None
     cliques, isolated = profile
-    if (s < 1 or s % 3 != 0 or len(cliques) != s // 3
-            or any(m.bit_count() != 7 for m in cliques)):
-        return None
     return StructureCertificate(
         cliques=tuple(VertexSet(g.n, m) for m in cliques),
         isolated=VertexSet(g.n, isolated),
@@ -475,16 +474,16 @@ def _heuristic_phase(g: Graph, p: int, budget: int,
         return None
     undo: tuple[int, int, int] | None = None
     for _ in range(budget):
-        if trace is None:
-            # When class 0 has a vertex with no neighbor in the destination,
-            # the reverse BFS sets hops[0] = dest, so the digraph's first
-            # move is the one-step path-shift of the lowest such vertex:
-            # take it without building the digraph. A trace records the
-            # digraph of every state, so traced runs build it.
-            dest = st.destination
-            free = st.classes[0] & ~_neighborhood(g.adj, st.classes[dest])
-            if free:
-                return _relocate(st, (((free & -free).bit_length() - 1, 0, dest),)).witness()
+        # When class 0 has a vertex with no neighbor in the destination, the
+        # reverse BFS sets hops[0] = dest, so the digraph's first move is the
+        # one-step path-shift of the lowest such vertex: take it without
+        # building the digraph.
+        dest = st.destination
+        free = st.classes[0] & ~_neighborhood(g.adj, st.classes[dest])
+        if free:
+            if trace is not None:
+                trace.moves.append("path-shift")
+            return _relocate(st, (((free & -free).bit_length() - 1, 0, dest),)).witness()
         aux = build_aux_digraph(st)
         if trace is not None:
             trace.inaccessible_sizes.append(len(aux.inaccessible))

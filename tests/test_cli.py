@@ -80,14 +80,20 @@ def test_table_verified_column(run_cli):
     assert all(row["verified"] == "" for row in record_of(out)["payload"]["rows"])
 
 
-def test_table_empty_range(run_cli):
-    code, out = run_cli(["table", "4Kp", "p=3", "n=14:12"])
+def test_table_refuses_reversed_range(run_cli):
+    # A reversed span once printed an empty table with exit 0.
+    for argv, message in [(["n=14:12", "p=3"], "n=14:12 is a reversed range; write 12:14"),
+                          (["n=20:10", "p=3", "--format", "csv"], "n=20:10 is a reversed range"),
+                          (["n=20", "p=4:3"], "p=4:3 is a reversed range")]:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, out = run_cli(["table", "4Kp", *argv])
+        assert code == 2, argv
+        assert out == ""
+        assert message in stderr.getvalue()
+    code, out = run_cli(["table", "4Kp", "p=3", "n=12:12"])
     assert code == 0
-    assert record_of(out)["payload"]["rows"] == []
-    code, out = run_cli(["table", "4Kp", "p=3", "n=14:12", "--format", "csv"])
-    assert code == 0
-    assert out.strip().splitlines() == [
-        "pattern,n,p,value,regime,construction,note,verified"]
+    assert [row["n"] for row in record_of(out)["payload"]["rows"]] == [12]
 
 
 def test_table_rejects_tight_pattern(run_cli):
@@ -253,6 +259,56 @@ def test_verify_refuses_malformed_records(run_cli):
     assert code == 2
     assert [json.loads(line)["payload"]["verified"] for line in out.splitlines()] == [True] * 3
     assert stderr.getvalue() == "error: record line 3: not a JSON object\n"
+
+
+def test_verify_checks_set_and_class_counts(run_cli):
+    # verify once took k from the payload's own set count when a record had
+    # no k, so a resolve witness with a set dropped verified, and it never
+    # compared a colouring's class count with its classes parameter.
+    _, resolve_line = run_cli(["resolve", "p=3", "--input", "-"], stdin="K??C?????oD?\n")
+    short = json.loads(resolve_line)
+    assert short["outcome"] == "witness" and len(short["payload"]["sets"]) == 4
+    del short["payload"]["sets"][-1]
+    code, out = run_cli(["verify", "--record", "-"], stdin=json.dumps(short) + "\n")
+    assert code == 2
+    assert record_of(out)["payload"] == {"verified": False, "detail": "expected 4 sets, got 3"}
+
+    _, pack_line = run_cli(["pack", "k=2", "p=2", "--input", "-"], stdin=C5_TEXT)
+    no_k = json.loads(pack_line)
+    del no_k["parameters"]["k"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code, out = run_cli(["verify", "--record", "-"], stdin=json.dumps(no_k) + "\n")
+    assert code == 2
+    assert out == ""
+    assert stderr.getvalue() == "error: record line 0: parameters has no 'k'\n"
+
+    for extra in ([], ["exact=1"]):
+        _, color_line = run_cli(["color", "classes=3", *extra, "--input", "-"], stdin=C5_TEXT)
+        wrong = json.loads(color_line)
+        wrong["parameters"]["classes"] = 5
+        code, out = run_cli(["verify", "--record", "-"], stdin=json.dumps(wrong) + "\n")
+        assert code == 2, extra
+        assert record_of(out)["payload"] == {
+            "verified": False, "detail": "payload has 3 classes, parameters say 5"}
+        code, out = run_cli(["verify", "--record", "-"], stdin=color_line)
+        assert code == 0
+        assert record_of(out)["payload"]["verified"] is True
+
+
+def test_graph6_input_holds_one_graph(run_cli):
+    # A second line after a graph6 line was once ignored.
+    for text in ("KO@?@@??D?_?\nnot-a-graph junk\n", "KO@?@@??D?_?\nKO@?@@??D?_?\n"):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, out = run_cli(["resolve", "p=3", "--input", "-"], stdin=text)
+        assert code == 2
+        assert out == ""
+        assert "graph6 input holds more than one line" in stderr.getvalue()
+    # trailing blank lines are fine
+    code, out = run_cli(["resolve", "p=3", "--input", "-"], stdin="KO@?@@??D?_?\n\n  \n")
+    assert code == 0
+    assert record_of(out)["outcome"] == "witness"
 
 
 def test_oracle_values_and_guard(run_cli):

@@ -14,9 +14,10 @@ a deliberate change of behaviour:
   called directly because some of these hosts take tens of seconds in the
   exact fallback.
 
-The traces are recorded with an `EngineTrace`, which makes the engine build
-the class digraph on every state; untraced runs skip it when the one-arc
-path-shift applies, so their outcomes are checked against the same file.
+The traces are recorded with an `EngineTrace`, which records the engine's
+moves and one inaccessible-class count per class digraph built, and never
+changes what the engine does: untraced outcomes are checked against the same
+file.
 """
 
 import functools
@@ -31,8 +32,8 @@ from turanpack import (PackingWitness, check_preconditions, from_edge_list,
                        from_graph6, rigid_clique_union, shifting, to_graph6)
 from turanpack.graphs import bits, is_clique_union
 from turanpack.records import certificate_payload, witness_payload
-from turanpack.shifting import (EngineTrace, Move, _heuristic_phase, build_aux_digraph,
-                                iter_moves, resolve)
+from turanpack.shifting import (EngineTrace, Move, _heuristic_phase, _relocate,
+                                build_aux_digraph, iter_moves, resolve)
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACES = ROOT / "tests" / "data" / "engine_traces.txt"
@@ -45,7 +46,8 @@ HEADER = """\
 #   payload as sorted JSON.
 # near-rigid <graph6> <p> <witness masks | none> <moves> <inaccessible sizes>:
 #   _heuristic_phase(g, p, 10 n) on the kept hosts of near_rigid_hosts().
-# Lists are comma-separated, "-" when empty.
+# Moves list every move taken; inaccessible sizes hold one inaccessible size
+#   per digraph built. Lists are comma-separated, "-" when empty.
 """
 
 
@@ -163,8 +165,8 @@ def test_near_rigid_traces_are_pinned():
 
 
 def test_untraced_engine_keeps_the_pinned_outcomes():
-    # Without a trace the engine may skip the digraph build; the outcomes
-    # must be the traced ones.
+    # A trace must not change any outcome: untraced runs give the pinned
+    # digests and witnesses.
     hosts = load_corpora().resolve_corpus(1)
     digests = [outcome_digest(resolve(from_graph6(host["graph6"]), host["p"]))
                for host in hosts]
@@ -177,35 +179,47 @@ def test_untraced_engine_keeps_the_pinned_outcomes():
 def test_direct_path_shift_is_the_digraphs_first_move(monkeypatch):
     """Wherever class 0 has a vertex with no neighbor in the destination,
     the digraph's first move is the one-step path-shift of the lowest such
-    vertex, on every state the traced heuristic visits (after stirring
-    moves too)."""
-    visited = []
+    vertex, on every state from which the heuristic takes a move (after
+    stirring moves too). Every move taken passes its state through
+    `_relocate`; a state's undo is the reverse of the previous move's first
+    step."""
+    taken = []
 
-    def recording(st, aux, undo=None):
-        visited.append((st, undo))
-        return iter_moves(st, aux, undo)
+    def recording(st, steps, exempt=0):
+        steps = tuple(steps)
+        taken[-1].append((st, steps))
+        return _relocate(st, steps, exempt)
 
-    monkeypatch.setattr(shifting, "iter_moves", recording)
+    def run(g, p):
+        taken.append([])
+        _heuristic_phase(g, p, 10 * g.n, None)
+
+    monkeypatch.setattr(shifting, "_relocate", recording)
     corpora = load_corpora()
     for seed in (1, 2, 3):
         for host in corpora.resolve_corpus(seed):
             g = from_graph6(host["graph6"])
             if not is_clique_union(g):  # as resolve does
-                _heuristic_phase(g, host["p"], 10 * g.n, EngineTrace())
+                run(g, host["p"])
     # As the pinned near-rigid lines do, clique unions included: those are
     # the hosts that stir longest.
     for g, p in near_rigid_set():
-        _heuristic_phase(g, p, 10 * g.n, EngineTrace())
+        run(g, p)
     monkeypatch.undo()
-    direct = 0
-    for st, undo in visited:
-        dest = st.destination
-        free = [v for v in bits(st.classes[0]) if not st.graph.adj[v] & st.classes[dest]]
-        if free:
-            move = next(iter_moves(st, build_aux_digraph(st), undo))
-            assert move == Move("path-shift", ((free[0], 0, dest),))
-            direct += 1
-    stirred = sum(undo is not None for _, undo in visited)
+    direct = stirred = 0
+    for moves in taken:
+        undo = None
+        for st, steps in moves:
+            dest = st.destination
+            free = [v for v in bits(st.classes[0]) if not st.graph.adj[v] & st.classes[dest]]
+            if free:
+                move = Move("path-shift", ((free[0], 0, dest),))
+                assert next(iter_moves(st, build_aux_digraph(st), undo)) == move
+                assert steps == move.steps
+                direct += 1
+            stirred += undo is not None
+            v, i, j = steps[0]
+            undo = (v, j, i)
     assert direct > 7000 and stirred > 4000, (direct, stirred)
 
 

@@ -9,10 +9,10 @@ from turanpack import (AuxDigraph, EngineTrace, PackingWitness,
                        StructureCertificate, accessible_path, apply_shift,
                        build_aux_digraph, certify_k7_structure,
                        check_blocked_domination, check_preconditions,
-                       clique_component_sizes, from_edge_list, init_partition,
-                       naive_disjoint_independent_sets, propose_moves, resolve,
-                       solo_neighbor, union_of_cliques, verify_certificate,
-                       verify_witness)
+                       clique_component_sizes, from_edge_list, from_graph6,
+                       init_partition, naive_disjoint_independent_sets,
+                       propose_moves, resolve, shifting, solo_neighbor,
+                       union_of_cliques, verify_certificate, verify_witness)
 from turanpack.graphs import is_clique_union
 from turanpack.shifting import _relocate, iter_moves
 
@@ -390,11 +390,23 @@ def test_resolve_with_zero_budget_falls_back():
     assert trace.used_exact_fallback
 
 
-def test_trace_records_heuristic_activity():
-    g = minus_edge(union_of_cliques([7], 7), (0, 1))
-    trace = EngineTrace()
-    out = resolve(g, 3, trace=trace)
-    assert isinstance(out, PackingWitness)
-    assert trace.moves or trace.used_exact_fallback
-    if trace.moves:
-        assert len(trace.inaccessible_sizes) >= len(trace.moves)
+def test_trace_records_heuristic_activity(monkeypatch):
+    # One inaccessible size per digraph built: none on the first host, whose
+    # first move is the direct one-arc path-shift; one on the second, whose
+    # first move is the two-arc path 0 -> 3 -> 4.
+    builds = []
+
+    def counting(st):
+        builds.append(st)
+        return build_aux_digraph(st)
+
+    monkeypatch.setattr(shifting, "build_aux_digraph", counting)
+    for g, want in ((minus_edge(union_of_cliques([7], 7), (0, 1)), 0),
+                    (from_graph6("KO@?@@??D?_?"), 1)):
+        builds.clear()
+        trace = EngineTrace()
+        out = resolve(g, 3, trace=trace)
+        assert isinstance(out, PackingWitness)
+        assert trace.moves == ["path-shift"] and not trace.used_exact_fallback
+        assert len(builds) == want
+        assert len(trace.inaccessible_sizes) == len(builds)

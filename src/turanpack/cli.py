@@ -21,10 +21,10 @@ import os
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from ._version import __version__
-from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
+from .errors import PreconditionError, SizeGuardError, SoundnessAlarm, check_params, is_int
 from .records import (ResultRecord, certificate_payload, coloring_payload,
                       graph_payload, stamp, vertex_set_payload,
                       witness_payload)
@@ -37,6 +37,7 @@ ENV_GUARD = "TURANPACK_GUARD_N"
 DEFAULT_SEED = 0
 FORMATS = ("json", "csv", "graph6")
 CONFIG_INT_KEYS = ("seed", "guard_n", "budget")
+CONFIG_KEYS = (*CONFIG_INT_KEYS, "format")
 
 CLOSED_FORM_NOTE = (
     "value is the hub-join count 3+3(n-3)+t(n-3,p-1); the variant closed "
@@ -70,6 +71,8 @@ def parse_kv(tokens: list[str]) -> dict[str, Any]:
         key, sep, raw = tok.partition("=")
         if not sep or not key:
             raise PreconditionError(f"expected key=value, got {tok!r}")
+        if key in params:
+            raise PreconditionError(f"parameter {key} is given more than once")
         params[key] = _coerce(raw)
     return params
 
@@ -92,26 +95,6 @@ def parse_span(value: Any, name: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def check_known(params: dict[str, Any], known: tuple[str, ...]) -> None:
-    """Refuse keys the command does not read, so a misspelt one is not
-    silently ignored."""
-    extra = set(params) - set(known)
-    if extra:
-        raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
-
-
-def check_int_params(what: str, params: dict[str, Any],
-                     names: tuple[str, ...]) -> None:
-    """Reject non-integer values of the named parameters and a negative n
-    before any arithmetic."""
-    not_int = [key for key in names
-               if key in params and not isinstance(params[key], int)]
-    if not_int:
-        raise PreconditionError(f"{what} needs integer parameters: {', '.join(not_int)}")
-    if params.get("n", 0) < 0:
-        raise PreconditionError("vertex count must be nonnegative")
-
-
 def load_config(path: str) -> dict[str, Any]:
     config: dict[str, Any] = {}
     with open(path, encoding="utf-8") as handle:
@@ -123,10 +106,10 @@ def load_config(path: str) -> dict[str, Any]:
             if not sep:
                 raise PreconditionError(f"config line must be key=value: {line!r}")
             config[key.strip()] = _coerce(raw.strip())
-    extra = set(config) - {*CONFIG_INT_KEYS, "format"}
+    extra = set(config) - set(CONFIG_KEYS)
     if extra:
         raise PreconditionError(f"unknown config keys: {', '.join(sorted(extra))}")
-    check_int_params("config", config, CONFIG_INT_KEYS)
+    check_params("config", config, optional=CONFIG_KEYS, ints=CONFIG_INT_KEYS)
     if config.get("format", "json") not in FORMATS:
         raise PreconditionError(
             f"config format must be one of {', '.join(FORMATS)}, got {config['format']!r}")
@@ -135,6 +118,7 @@ def load_config(path: str) -> dict[str, Any]:
 
 def resolve_settings(args: argparse.Namespace) -> Settings:
     config = load_config(args.config) if args.config else {}
+    flags = vars(args)  # holds only the flags of the subcommand
 
     def pick(*values):
         for value in values:
@@ -149,11 +133,11 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         except ValueError:
             raise PreconditionError(f"{ENV_GUARD} must be an integer, got {env_guard!r}")
     return Settings(
-        seed=pick(args.seed, config.get("seed"), DEFAULT_SEED),
-        guard_n=pick(args.guard_n, env_guard, config.get("guard_n")),
-        budget=pick(args.budget, config.get("budget")),
-        fmt=pick(args.format, config.get("format"), "json"),
-        verify=args.verify,
+        seed=pick(flags.get("seed"), config.get("seed"), DEFAULT_SEED),
+        guard_n=pick(flags.get("guard_n"), env_guard, config.get("guard_n")),
+        budget=pick(flags.get("budget"), config.get("budget")),
+        fmt=pick(flags.get("format"), config.get("format"), "json"),
+        verify=flags.get("verify", False),
         timing=args.timing,
     )
 
@@ -187,8 +171,7 @@ def _ref_dict(ref) -> dict | None:
 def _query_from(pattern: str, params: dict[str, Any]) -> FormulaQuery:
     from .formulas import FormulaQuery, lookup_pattern
 
-    check_known(params, lookup_pattern(pattern).params)
-    check_int_params(f"pattern {pattern}", params, tuple(params))
+    check_params(f"pattern {pattern}", params, optional=lookup_pattern(pattern).params)
     return FormulaQuery(pattern, **params)
 
 
@@ -222,7 +205,8 @@ def _table_rows(pattern: str, params: dict[str, Any],
     if pattern == "kKp-tight":
         raise PreconditionError(
             "kKp-tight fixes n = k*p; use the formula subcommand")
-    check_known(params, lookup_pattern(pattern).params)
+    check_params(f"pattern {pattern}", params, optional=lookup_pattern(pattern).params,
+                 ints=())
     n_span = parse_span(params.get("n"), "n") if "n" in params else [None]
     p_span = parse_span(params.get("p"), "p") if "p" in params else [None]
     fixed = {key: value for key, value in params.items() if key not in ("n", "p")}
@@ -334,16 +318,11 @@ def cmd_resolve(args, settings: Settings, started: float) -> int:
     from .packing import PackingWitness
     from .shifting import resolve
 
-    params = parse_kv(args.tokens)
-    check_known(params, ("p",))
-    if "p" not in params:
-        raise PreconditionError("resolve needs p=<int>")
-    check_int_params("resolve", params, ("p",))
+    p = args.params["p"]
     g = read_graph(args)
-    outcome = resolve(g, params["p"], budget=settings.budget,
-                      guard_n=settings.guard_n)
+    outcome = resolve(g, p, budget=settings.budget, guard_n=settings.guard_n)
     # resolve re-verifies both outcome kinds before returning.
-    parameters = {"p": params["p"], "graph6": to_graph6(g)}
+    parameters = {"p": p, "graph6": to_graph6(g)}
     if isinstance(outcome, PackingWitness):
         record = ResultRecord("resolve", parameters, "witness",
                               witness_payload(outcome))
@@ -359,12 +338,7 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
     from .packing import (find_clique_packing, find_disjoint_independent_sets,
                           verify_witness)
 
-    params = parse_kv(args.tokens)
-    check_known(params, ("k", "p", "mode"))
-    missing = [key for key in ("k", "p") if key not in params]
-    if missing:
-        raise PreconditionError(f"pack needs {', '.join(missing)}=<int>")
-    check_int_params("pack", params, ("k", "p"))
+    params = args.params
     mode = params.get("mode", "independent")
     if mode not in ("independent", "clique"):
         raise PreconditionError("mode must be independent or clique")
@@ -386,16 +360,12 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
     return 0
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_members(value: Any) -> bool:
-    return isinstance(value, list) and all(_is_int(v) for v in value)
+    return isinstance(value, list) and all(is_int(v) for v in value)
 
 
 _SHAPES = {
-    "an integer": _is_int,
+    "an integer": is_int,
     "a string": lambda value: isinstance(value, str),
     "a list of integers": _is_members,
     "a list of integer lists": lambda value: (
@@ -535,10 +505,8 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
     # A compact pattern such as 3K2 names its cliques; the oracle reads the
     # host size n on top of the keys of a named pattern.
     compact = re.fullmatch(r"(\d*)K(\d+)", pattern)
-    check_known(params, ("n",) if compact else ("n", *lookup_pattern(pattern).params))
-    if "n" not in params:
-        raise PreconditionError("oracle needs n=<int>")
-    check_int_params(f"pattern {pattern}", params, tuple(params))
+    check_params(f"pattern {pattern}", params, required=("n",),
+                 optional=() if compact else lookup_pattern(pattern).params)
     if compact:
         sizes = (int(compact.group(2)),) * int(compact.group(1) or 1)
     else:
@@ -565,11 +533,8 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
     if which not in ("5.1", "5.2"):
         raise PreconditionError(f"unknown probe {which!r}; use 5.1 or 5.2")
     params = parse_kv(args.tokens[1:])
-    check_known(params, ("k", "p", "trials" if which == "5.1" else "window"))
-    missing = [key for key in ("k", "p") if key not in params]
-    if missing:
-        raise PreconditionError(f"probe needs {', '.join(missing)}=<int>")
-    check_int_params("probe", params, ("k", "p", "trials", "window"))
+    check_params("probe", params, required=("k", "p"),
+                 optional=("trials",) if which == "5.1" else ("window",))
     if which == "5.1":
         report = probe_dichotomy(params["k"], params["p"],
                                  trials=params.get("trials", 200),
@@ -588,17 +553,13 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
         record = ResultRecord("probe", {"which": which, **params}, outcome,
                               payload, seed=settings.seed)
     else:
+        if args.seed is not None:
+            raise PreconditionError("probe 5.2 draws nothing at random; it takes no --seed")
         report = probe_value_sweep(params["k"], params["p"],
                                    window=params.get("window"),
                                    guard_n=settings.guard_n)
-        rows = [{
-            "n": row.n, "branch": row.branch, "value": row.value,
-            "construction": row.construction,
-            "construction_edges": row.construction_edges,
-            "pattern_free": row.pattern_free,
-        } for row in report.rows]
         payload = {
-            "k": report.k, "p": report.p, "rows": rows,
+            "k": report.k, "p": report.p, "rows": [row._asdict() for row in report.rows],
             "boundary_consistent": report.boundary_consistent,
             "matches_four_block_values": report.matches_four_block_values,
             "message": ("all rows consistent" if report.consistent
@@ -614,11 +575,7 @@ def cmd_color(args, settings: Settings, started: float) -> int:
     from .codec import to_graph6
     from .packing import equitable_coloring, equitable_coloring_exact
 
-    params = parse_kv(args.tokens)
-    check_known(params, ("classes", "exact"))
-    if "classes" not in params:
-        raise PreconditionError("color needs classes=<int>")
-    check_int_params("color", params, ("classes",))
+    params = args.params
     if params.get("exact", 0) not in (0, 1):
         raise PreconditionError(f"exact must be 0 or 1, got {params['exact']!r}")
     g = read_graph(args)
@@ -646,16 +603,44 @@ def cmd_color(args, settings: Settings, started: float) -> int:
     return 0
 
 
-HANDLERS = {
-    "formula": cmd_formula,
-    "table": cmd_table,
-    "construct": cmd_construct,
-    "resolve": cmd_resolve,
-    "pack": cmd_pack,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "probe": cmd_probe,
-    "color": cmd_color,
+class Command(NamedTuple):
+    """One subcommand: its handler, the flags it reads besides --config and
+    --timing, and the key=value keys it requires (integers) and may take.
+    main checks those keys before the handler runs and hands them over as
+    args.params. required None leaves the tokens to the handler, for a
+    command whose keys depend on its leading pattern, family or probe."""
+
+    handler: Callable[[argparse.Namespace, Settings, float], int]
+    flags: tuple[str, ...]
+    required: tuple[str, ...] | None = None
+    optional: tuple[str, ...] = ()
+
+
+FLAGS = {
+    "--input": {"help": "graph file (graph6 or edge list), - for stdin"},
+    "--output": {"help": "also write the built graph6 to this path"},
+    "--record": {"help": "result-record file to re-verify, - for stdin"},
+    "--format": {"choices": FORMATS},
+    "--seed": {"type": int},
+    "--verify": {"action": "store_true",
+                 "help": "re-check constructions via exact packing search"},
+    "--guard-n": {"type": int},
+    "--budget": {"type": int},
+    "--config": {"help": "key=value config file"},
+    "--timing": {"action": "store_true",
+                 "help": "fill timestamp/runtime (breaks byte determinism)"},
+}
+
+COMMANDS = {
+    "formula": Command(cmd_formula, ()),
+    "table": Command(cmd_table, ("--format", "--verify", "--guard-n")),
+    "construct": Command(cmd_construct, ("--output", "--format", "--verify", "--guard-n")),
+    "resolve": Command(cmd_resolve, ("--input", "--budget", "--guard-n"), ("p",)),
+    "pack": Command(cmd_pack, ("--input", "--guard-n"), ("k", "p"), ("mode",)),
+    "verify": Command(cmd_verify, ("--record",), ()),
+    "oracle": Command(cmd_oracle, ("--guard-n",)),
+    "probe": Command(cmd_probe, ("--seed", "--guard-n")),
+    "color": Command(cmd_color, ("--input", "--guard-n"), ("classes",), ("exact",)),
 }
 
 
@@ -665,33 +650,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extremal values, constructions and searches for "
                     "disjoint-clique patterns.")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="graph file (graph6 or edge list), - for stdin")
-    common.add_argument("--output", help="also write the built graph6 to this path")
-    common.add_argument("--format", choices=FORMATS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--verify", action="store_true",
-                        help="re-check constructions via exact packing search")
-    common.add_argument("--guard-n", type=int, dest="guard_n")
-    common.add_argument("--budget", type=int)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--timing", action="store_true",
-                        help="fill timestamp/runtime (breaks byte determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        cmd = sub.add_parser(name, parents=[common])
-        if name == "verify":
-            cmd.add_argument("--record", help="result-record file to re-verify, - for stdin")
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name)
+        for flag in ("--config", "--timing", *command.flags):
+            cmd.add_argument(flag, **FLAGS[flag])
         cmd.add_argument("tokens", nargs="*")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     started = time.monotonic()
     try:
         settings = resolve_settings(args)
-        return HANDLERS[args.command](args, settings, started)
+        if command.required is not None:
+            args.params = parse_kv(args.tokens)
+            check_params(args.command, args.params, command.required, command.optional,
+                         ints=command.required)
+        return command.handler(args, settings, started)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -701,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
     except SoundnessAlarm as exc:
         print(f"soundness alarm: {exc}", file=sys.stderr)
         return 4
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .errors import PreconditionError, SizeGuardError
+from .errors import PreconditionError, SizeGuardError, check_params
 from .formulas import ConstructionRef, binom2, hub_join_edges, turan_edges
 from .graphs import (MAX_EDGE_LIST_N, Graph, complement, complete_graph, disjoint_union,
                      empty_graph, from_edge_list, join)
@@ -226,27 +226,21 @@ _OTHER_SIDE = {"self": "complement", "complement": "self", None: None}
 
 
 def _family(name: str, params: dict) -> Family:
-    """The table entry of a family, refusing an unknown name or a missing
-    required parameter."""
+    """The table entry of a family, refusing an unknown name and any
+    parameter set check_params refuses."""
     family = FAMILIES.get(name)
     if family is None:
         raise PreconditionError(f"unknown construction family {name!r}")
-    missing = [key for key in family.required if key not in params]
-    if missing:
-        raise PreconditionError(f"family {name} needs parameters: {', '.join(missing)}")
+    check_params(f"family {name}", params, family.required, family.optional)
     return family
 
 
-def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
-    """Resolve a ConstructionRef into a graph plus its descriptor."""
-    family = _family(ref.family, ref.params)
-    args = {name: ref.params[name] for name in family.required}
-    args.update((name, ref.params[name]) for name in family.optional if name in ref.params)
-    n = family.vertices(**args)
+def _build(family: Family, ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
+    n = family.vertices(**ref.params)
     if n > MAX_EDGE_LIST_N:
         raise SizeGuardError(f"construct guard: {ref.family} has n={n} > {MAX_EDGE_LIST_N}")
-    g, claim, side = family.build(**args)
-    edges = family.edges(**args)
+    g, claim, side = family.build(**ref.params)
+    edges = family.edges(**ref.params)
     if ref.complemented:
         g, side, edges = complement(g), _OTHER_SIDE[side], binom2(n) - edges
     if g.edge_count() != edges:
@@ -256,20 +250,16 @@ def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
     return g, ConstructionDescriptor(ref.family, dict(ref.params), edges, claim, side)
 
 
+def build_ref(ref: ConstructionRef) -> tuple[Graph, ConstructionDescriptor]:
+    """Resolve a ConstructionRef into a graph plus its descriptor."""
+    return _build(_family(ref.family, ref.params), ref)
+
+
 def build_family(family: str, params: dict) -> tuple[Graph, ConstructionDescriptor]:
     """CLI entry: build the family's base graph (never complemented)."""
-    _family(family, params)
-    extra = set(params) - set(CLI_FAMILIES[family])
-    if extra:
-        raise PreconditionError(f"unknown parameters: {', '.join(sorted(extra))}")
-    # bool is a subclass of int, so JSON true/false must be refused by name.
-    not_int = [name for name in CLI_FAMILIES[family] if name in params
-               and (not isinstance(params[name], int) or isinstance(params[name], bool))]
-    if not_int:
-        raise PreconditionError(
-            f"family {family} needs integer parameters: {', '.join(not_int)}")
+    spec = _family(family, params)
     try:
-        return build_ref(ConstructionRef(family, params))
+        return _build(spec, ConstructionRef(family, params))
     except PreconditionError as exc:
         raise PreconditionError(f"{family}: {exc}") from None
 
@@ -281,10 +271,13 @@ def claim_holds(g: Graph, desc: ConstructionDescriptor,
     Returns None when the descriptor carries no claim. May raise
     SizeGuardError on hosts past the packing guard.
     """
-    from .packing import find_clique_packing
+    from .packing import find_clique_packing, find_disjoint_independent_sets
 
     if desc.claim is None:
         return None
     k, p = desc.claim
-    side = g if desc.claim_side == "self" else complement(g)
-    return find_clique_packing(side, k, p, guard_n=guard_n) is None
+    if desc.claim_side == "self":
+        return find_clique_packing(g, k, p, guard_n=guard_n) is None
+    # k disjoint p-cliques in the complement are k disjoint independent
+    # p-sets in g itself.
+    return find_disjoint_independent_sets(g, k, p, guard_n=guard_n) is None

@@ -14,7 +14,7 @@ import random
 from typing import NamedTuple
 
 from .codec import to_graph6
-from .errors import PreconditionError, SizeGuardError
+from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .formulas import binom2, ex_4_cliques, hub_join_edges
 from .constructions import hub_join, rigid_clique_union
 from .graphs import (MAX_EDGE_LIST_N, Graph, complement, from_edge_list,
@@ -113,7 +113,7 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
         if witness is not None:
             check = verify_witness(g, witness, k, p, "independent")
             if not check.ok:
-                raise AssertionError(f"search returned a bad witness: {check.violation}")
+                raise SoundnessAlarm(f"search returned a bad witness: {check.violation}")
             report.witnessed += 1
         elif is_rigid_small_clique_union(g, k, s):
             report.rigid += 1

@@ -1,5 +1,6 @@
 """Command line surface: record shapes, formats, exit codes, settings."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -503,7 +504,8 @@ def test_unknown_parameters_exit_2(run_cli):
             (["resolve", "p=3", "k=4", "--input", "-"], "unknown parameters: k"),
             (["oracle", "3K2", "n=6", "m=1"], "unknown parameters: m"),
             (["table", "4Kp", "p=3", "n=12:13", "x=1"], "unknown parameters: x"),
-            (["construct", "J", "p=3", "s=3", "t=1"], "unknown parameters: t")]:
+            (["construct", "J", "p=3", "s=3", "t=1"], "unknown parameters: t"),
+            (["verify", "junk=1", "k=9", "--record", "-"], "unknown parameters: junk, k")]:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, out = run_cli(argv, stdin=C5_TEXT)
@@ -512,6 +514,123 @@ def test_unknown_parameters_exit_2(run_cli):
     code, out = run_cli(["color", "classes=3", "exact=0", "--input", "-"], stdin=C5_TEXT)
     assert code == 0 and "exact" not in record_of(out)["parameters"]
 
+
+
+def test_missing_and_repeated_parameters_exit_2(run_cli):
+    # A repeated key once silently overwrote the first value.
+    for argv, message in [
+            (["resolve", "--input", "-"], "resolve needs parameters: p"),
+            (["pack", "p=2", "--input", "-"], "pack needs parameters: k"),
+            (["color", "--input", "-"], "color needs parameters: classes"),
+            (["probe", "5.1", "p=3"], "probe needs parameters: k"),
+            (["oracle", "3K2"], "pattern 3K2 needs parameters: n"),
+            (["resolve", "p=3", "p=4", "--input", "-"], "parameter p is given more than once"),
+            (["formula", "4Kp", "n=16", "n=20", "p=3"], "parameter n is given more than once"),
+            (["table", "4Kp", "p=3", "n=12:13", "p=4"], "parameter p is given more than once")]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv, stdin=C5_TEXT)
+        assert code == 2, argv
+        assert out == "" and err.getvalue() == f"error: {message}\n", (argv, err.getvalue())
+
+
+# A minimal accepted argv per subcommand; no command reads its input
+# before argparse has refused a flag.
+ACCEPTED_ARGV = {
+    "formula": ["4Kp", "n=16", "p=3"],
+    "table": ["4Kp", "p=3", "n=12:13"],
+    "construct": ["J", "p=3", "s=3"],
+    "resolve": ["p=3", "--input", "-"],
+    "pack": ["k=2", "p=2", "--input", "-"],
+    "verify": ["--record", "-"],
+    "oracle": ["3K2", "n=6"],
+    "probe": ["5.1", "k=2", "p=3", "trials=2"],
+    "color": ["classes=3", "--input", "-"],
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    # Every subcommand once took all nine shared flags, and ignored most of
+    # them: formula --format csv printed JSON with exit 0.
+    from turanpack import cli
+
+    assert not {"HANDLERS", "check_known", "check_int_params"} & set(vars(cli))
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli.COMMANDS) == set(ACCEPTED_ARGV)
+    slots = {}
+    for name, command in cli.COMMANDS.items():
+        strings = {string for action in subparsers.choices[name]._actions
+                   for string in action.option_strings} - {"-h", "--help"}
+        assert strings == {"--config", "--timing", *command.flags}, name
+        slots[name] = len(strings)
+    assert slots == {"formula": 2, "table": 5, "construct": 6, "resolve": 5, "pack": 4,
+                     "verify": 3, "oracle": 3, "probe": 4, "color": 4}
+    assert sum(slots.values()) == 36
+    refused = []
+    for name, command in cli.COMMANDS.items():
+        for flag, spec in cli.FLAGS.items():
+            if flag in ("--config", "--timing", *command.flags):
+                continue
+            value = [] if spec.get("action") == "store_true" else ["1"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    cli.main([name, *ACCEPTED_ARGV[name], flag, *value])
+                except SystemExit as exc:
+                    assert exc.code == 2, (name, flag)
+                else:
+                    raise AssertionError(f"{name} accepted {flag}")
+            assert f"unrecognized arguments: {flag}" in err.getvalue(), (name, flag)
+            refused.append(flag)
+    # --record was only ever verify's; the other 46 refusals were accepted before.
+    assert len(refused) - refused.count("--record") == 46
+
+
+def test_probe_sweep_refuses_a_seed(run_cli):
+    # probe 5.2 draws nothing at random, so a seed once looked honoured and was not.
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["probe", "5.2", "k=4", "p=3", "--seed", "99"])
+    assert code == 2 and out == ""
+    assert err.getvalue() == "error: probe 5.2 draws nothing at random; it takes no --seed\n"
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
+def test_non_utf8_input_exits_2(run_cli, tmp_path, monkeypatch):
+    # Each of these once ended in a UnicodeDecodeError traceback (exit 1).
+    path = tmp_path / "bin.g6"
+    path.write_bytes(NOT_UTF8)
+    for argv in (["pack", "k=2", "p=2", "--input", str(path)],
+                 ["verify", "--record", str(path)],
+                 ["formula", "4Kp", "n=16", "p=3", "--config", str(path)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv)
+        assert code == 2, argv
+        assert out == "" and "can't decode byte 0xff" in err.getvalue(), (argv, err.getvalue())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["resolve", "p=3", "--input", "-"])
+    assert code == 2 and out == ""
+    assert "can't decode byte 0xff" in err.getvalue()
+
+
+def test_probe_bad_witness_is_a_soundness_alarm(run_cli, monkeypatch):
+    # probe 5.1 once raised AssertionError here: a traceback with exit 1.
+    from turanpack import packing, probes
+
+    monkeypatch.setattr(probes, "verify_witness",
+                        lambda *args: packing.VerificationReport(False, "forced"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["probe", "5.1", "k=2", "p=3", "trials=8"])
+    assert code == 4 and out == ""
+    assert err.getvalue() == "soundness alarm: search returned a bad witness: forced\n"
 
 def run_cli_capped(argv):
     """The CLI in a subprocess under a 1 GiB address-space cap, where a

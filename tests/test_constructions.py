@@ -213,6 +213,17 @@ def test_build_ref_names_missing_parameters():
                 assert str(exc.value) == want
 
 
+
+def test_build_ref_checks_parameters_as_build_family_does():
+    # build_ref once ignored an unknown key and built turan with JSON true as p = 1.
+    for params, message in [({"n": 9, "p": 3, "x": 1}, "unknown parameters: x"),
+                            ({"n": 9, "p": True}, "family turan needs integer parameters: p"),
+                            ({"n": -1, "p": 3}, "vertex count must be nonnegative")]:
+        for build in (build_ref, lambda ref: build_family(ref.family, ref.params)):
+            with pytest.raises(PreconditionError) as exc:
+                build(ConstructionRef("turan", params))
+            assert str(exc.value) == message
+
 def test_build_family_vertex_count_and_cap():
     # The cap is checked on a count computed from the parameters alone, so
     # that count must be the built graph's n in every family.

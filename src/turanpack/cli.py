@@ -48,7 +48,7 @@ TABLE_COLUMNS = ("pattern", "n", "p", "value", "regime", "construction",
 
 
 class Settings(NamedTuple):
-    seed: int
+    seed: int | None
     guard_n: int | None
     budget: int | None
     fmt: str
@@ -117,7 +117,18 @@ def load_config(path: str) -> dict[str, Any]:
 
 
 def resolve_settings(args: argparse.Namespace) -> Settings:
+    """Merge the subcommand's flags, the environment and its config file.
+
+    A config key stands in for the flag of the same name, so a subcommand
+    without that flag refuses the key rather than ignore it. seed stays
+    None unless a flag or the config gives one.
+    """
     config = load_config(args.config) if args.config else {}
+    for key in config:
+        flag = "--" + key.replace("_", "-")
+        if flag not in COMMANDS[args.command].flags:
+            raise PreconditionError(
+                f"{args.command} takes no {flag}, so its --config may not set {key}")
     flags = vars(args)  # holds only the flags of the subcommand
 
     def pick(*values):
@@ -133,7 +144,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         except ValueError:
             raise PreconditionError(f"{ENV_GUARD} must be an integer, got {env_guard!r}")
     return Settings(
-        seed=pick(flags.get("seed"), config.get("seed"), DEFAULT_SEED),
+        seed=pick(flags.get("seed"), config.get("seed")),
         guard_n=pick(flags.get("guard_n"), env_guard, config.get("guard_n")),
         budget=pick(flags.get("budget"), config.get("budget")),
         fmt=pick(flags.get("format"), config.get("format"), "json"),
@@ -536,9 +547,10 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
     check_params("probe", params, required=("k", "p"),
                  optional=("trials",) if which == "5.1" else ("window",))
     if which == "5.1":
+        seed = DEFAULT_SEED if settings.seed is None else settings.seed
         report = probe_dichotomy(params["k"], params["p"],
                                  trials=params.get("trials", 200),
-                                 seed=settings.seed,
+                                 seed=seed,
                                  guard_n=settings.guard_n)
         payload = {
             "k": report.k, "p": report.p, "trials": report.trials,
@@ -551,10 +563,11 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
         }
         outcome = "counterexample" if report.counterexample else "none"
         record = ResultRecord("probe", {"which": which, **params}, outcome,
-                              payload, seed=settings.seed)
+                              payload, seed=seed)
     else:
-        if args.seed is not None:
-            raise PreconditionError("probe 5.2 draws nothing at random; it takes no --seed")
+        if settings.seed is not None:
+            where = "--seed" if args.seed is not None else "config seed"
+            raise PreconditionError(f"probe 5.2 draws nothing at random; it takes no {where}")
         report = probe_value_sweep(params["k"], params["p"],
                                    window=params.get("window"),
                                    guard_n=settings.guard_n)

@@ -2,7 +2,7 @@
 
 The searches are exact and deterministic: depth-first backtracking over
 sets sorted by descending size, where sets of equal size have increasing
-minima (symmetry breaking), each set grown from its lowest member up. Five
+minima (symmetry breaking), each set grown from its lowest member up. Six
 rules cut subtrees that hold no solution, so the first witness found is
 the one the unbounded search would find:
 
@@ -26,17 +26,22 @@ the one the unbounded search would find:
 - clique cover inside a set (slack hosts): a set that still wants t >= 2
   vertices from candidates with more than t members needs alpha of the
   candidates >= t, so a greedy cover of them by fewer than t cliques cuts
-  the branch.
+  the branch;
+- odd cycle left out (tight hosts, k >= 3): while the third-from-last set
+  grows, the available vertices it can no longer take (neither in it nor
+  among its candidates) must all go to the last two sets, which split them
+  into two independent sets, so an odd cycle among them cuts the branch.
 
 On a tight host (sum of sizes = n) the sets left must partition the
 available vertices exactly, so the last two sets are decided outright,
 before the supply bound and with no enumeration: they exist only if
 G[avail] is bipartite and a choice of one side per component makes up the
 size wanted. One BFS pass per component both 2-colours it and finds any
-edge inside a side; a suffix subset sum over the side sizes then builds the
-split the enumeration would have reached first, taking each component's
-lower side (the one holding its lowest vertex) whenever the components
-after it can still make up the rest. The last set is every vertex left.
+edge inside a side (`_bipartition`, which the odd-cycle rule runs too); a
+suffix subset sum over the side sizes then builds the split the
+enumeration would have reached first, taking each component's lower side
+(the one holding its lowest vertex) whenever the components after it can
+still make up the rest. The last set is every vertex left.
 With k = 1 the one set is every vertex, taken iff it is independent.
 
 Hosts whose components are all cliques or isolated vertices take an
@@ -202,27 +207,18 @@ def _supply_bound(avail: int, k_rem: int,
     return total
 
 
-def _last_two_split(adj: tuple[int, ...], avail: int, size: int,
-                    start: int) -> int | None:
-    """The next-to-last set of a tight search, or None when the branch fails.
+def _bipartition(adj: tuple[int, ...], mask: int) -> list[list[int]] | None:
+    """The two sides of each component of G[mask], or None when G[mask]
+    holds an odd cycle.
 
-    That is the lex-first set S (sorted members compared in order) with
-    |S| = size and min(S) >= start such that S and avail & ~S are both
-    independent, i.e. S takes one side of each component of G[avail]. Each
-    component is 2-colored by BFS layers; a BFS edge joins one layer to
-    itself or to the next, so a layer whose neighbours meet its own side is
-    the only way a side fails to be independent, and that is checked as
-    each layer is expanded.
-
-    Of two sets of one size, the one holding the lowest vertex of their
-    difference comes first. With the components taken in order of their
-    lowest vertex, that vertex is always the lowest not yet placed, so S
-    takes the side holding it whenever the side is allowed and the later
-    components can still make up the rest (a suffix subset sum, one bit per
-    reachable total), and the other side otherwise.
+    Components come in order of their lowest vertex, each as [lower, upper]
+    with the lowest vertex on the lower side. Each is 2-colored by BFS
+    layers; a BFS edge joins one layer to itself or to the next, so a layer
+    whose neighbours meet its own side is the only way a side fails to be
+    independent, and that is checked as each layer is expanded.
     """
     sides = []
-    left = avail
+    left = mask
     while left:
         frontier = left & -left
         layers = [0, 0]
@@ -238,11 +234,33 @@ def _last_two_split(adj: tuple[int, ...], avail: int, size: int,
                 rem ^= low
             if grown & layers[parity]:
                 return None
-            frontier = grown & avail & ~seen
+            frontier = grown & mask & ~seen
             seen |= frontier
             parity ^= 1
         left &= ~seen
         sides.append(layers)
+    return sides
+
+
+def _last_two_split(adj: tuple[int, ...], avail: int, size: int,
+                    start: int) -> int | None:
+    """The next-to-last set of a tight search, or None when the branch fails.
+
+    That is the lex-first set S (sorted members compared in order) with
+    |S| = size and min(S) >= start such that S and avail & ~S are both
+    independent, i.e. S takes one side of each component of G[avail], as
+    `_bipartition` finds them.
+
+    Of two sets of one size, the one holding the lowest vertex of their
+    difference comes first. With the components taken in order of their
+    lowest vertex, that vertex is always the lowest not yet placed, so S
+    takes the side holding it whenever the side is allowed and the later
+    components can still make up the rest (a suffix subset sum, one bit per
+    reachable total), and the other side otherwise.
+    """
+    sides = _bipartition(adj, avail)
+    if sides is None:
+        return None
     forbid = (1 << start) - 1  # S holds no vertex below start
     reach = [1]  # reach[-1]: the sizes the components after the current one can give S
     for lower, upper in reversed(sides):
@@ -457,6 +475,7 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
             return None
         last_group = need == sizes[-1]
         first_candidates = avail >> start << start
+        odd_cut = tight and idx == k - 3
 
         def grow(set_mask: int, count: int, cand: int, first: int) -> list[int] | None:
             if count == need:
@@ -465,6 +484,8 @@ def _find_disjoint_sets(g: Graph, sizes: tuple[int, ...],
                     return [set_mask] + rest
                 return None
             wanted = need - count
+            if odd_cut and _bipartition(adj, avail & ~set_mask & ~cand) is None:
+                return None  # the last two sets must split what this set cannot take
             spare = cand.bit_count() - wanted  # lowest candidates that may still be skipped
             if not tight and wanted >= 2 and spare > 0 and not _cover_reaches(adj, cand, wanted):
                 return None

@@ -487,9 +487,45 @@ def test_config_values_are_checked(run_cli, tmp_path):
             code, out = run_cli([*argv, "--config", str(config)], stdin=host_text)
         assert code == 2, (text, err.getvalue())
         assert out == "" and message in err.getvalue(), (text, err.getvalue())
-    config.write_text("seed = 3\nguard_n = 20\nbudget = 0\nformat = csv\n")
+    # Each valid value is taken by a subcommand that has its flag.
+    config.write_text("guard_n = 20\nformat = csv\n")
     code, out = run_cli(["table", "4Kp", "p=3", "n=12:13", "--config", str(config)])
     assert code == 0 and out.startswith("pattern,n,p,value")
+    config.write_text("guard_n = 20\nbudget = 0\n")
+    code, out = run_cli(["resolve", "p=3", "--input", "-", "--config", str(config)],
+                        stdin=host_text)
+    assert code == 0 and record_of(out)["outcome"] == "witness"
+    config.write_text("seed = 3\nguard_n = 20\n")
+    code, out = run_cli(["probe", "5.1", "k=2", "p=3", "trials=1", "--config", str(config)])
+    assert code == 0 and record_of(out)["provenance"]["seed"] == 3
+
+
+def test_config_keys_need_the_subcommands_flag(run_cli, tmp_path):
+    # A config key stands in for its flag. These two once printed JSON and
+    # ran unseeded with exit 0, while the same values as flags exit 2.
+    config = tmp_path / "turanpack.conf"
+    for text, argv, message in [
+            ("format = csv\n", ["formula", "4Kp", "n=16", "p=3"],
+             "error: formula takes no --format, so its --config may not set format\n"),
+            ("seed = 9\n", ["probe", "5.2", "k=4", "p=3"],
+             "error: probe 5.2 draws nothing at random; it takes no config seed\n"),
+            ("seed = 9\n", ["table", "4Kp", "p=3", "n=12"],
+             "error: table takes no --seed, so its --config may not set seed\n"),
+            ("budget = 5\n", ["pack", "k=2", "p=2", "--input", "-"],
+             "error: pack takes no --budget, so its --config may not set budget\n"),
+            ("guard_n = 20\n", ["verify", "--record", "-"],
+             "error: verify takes no --guard-n, so its --config may not set guard_n\n")]:
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli([*argv, "--config", str(config)], stdin=C5_TEXT)
+        assert code == 2, (text, argv)
+        assert out == "" and err.getvalue() == message, (text, argv, err.getvalue())
+    # resolve has --guard-n, so its config may still set guard_n.
+    config.write_text("guard_n = 20\n")
+    code, out = run_cli(["resolve", "p=3", "--input", "-", "--config", str(config)],
+                        stdin="12\n0 1\n1 2\n")
+    assert code == 0 and record_of(out)["outcome"] == "witness"
 
 
 def test_unknown_parameters_exit_2(run_cli):

@@ -18,7 +18,8 @@ from turanpack import packing
 from turanpack.graphs import bits, is_clique_union, mask_of
 from turanpack.packing import (_alpha_capped, _alpha_mask, _clique_cover_bound,
                                _cover_reaches, _find_disjoint_sets, _greedy_attempt,
-                               _has_independent, _last_two_split, _live_vertices)
+                               _bipartition, _has_independent, _last_two_split,
+                               _live_vertices)
 
 ROOT = Path(__file__).resolve().parents[1]
 POOL_WITNESSES = ROOT / "tests" / "data" / "pack_hard_witnesses.txt"
@@ -98,19 +99,24 @@ def test_clique_union_fast_path_matches_search():
             assert (fast is None) == (slow is None), (sizes, iso, k, p)
 
 
+def search_pool():
+    """Each host of the frozen pack-hard pool with the witness found on it."""
+    hosts = [json.loads(line) for line in
+             (ROOT / "perfbench" / "data" / "pack_hard.jsonl").read_text().splitlines()
+             if line.strip()]
+    for host in hosts:
+        find = find_clique_packing if host["mode"] == "clique" else find_disjoint_independent_sets
+        yield host, find(from_graph6(host["graph6"]), host["k"], host["p"])
+
+
 def test_pack_hard_pool_witnesses_are_pinned():
     # The first witness found is part of the search's contract: a pruning
     # rule that changed one would have cut a live subtree.
     golden = [line for line in POOL_WITNESSES.read_text().splitlines()
               if not line.startswith("#")]
-    hosts = [json.loads(line) for line in
-             (ROOT / "perfbench" / "data" / "pack_hard.jsonl").read_text().splitlines()
-             if line.strip()]
-    assert len(golden) == len(hosts) == 72
-    for host, want in zip(hosts, golden):
-        find = find_clique_packing if host["mode"] == "clique" else find_disjoint_independent_sets
-        g = from_graph6(host["graph6"])
-        witness = find(g, host["k"], host["p"])
+    searched = list(search_pool())
+    assert len(golden) == len(searched) == 72
+    for (host, witness), want in zip(searched, golden):
         got = "none" if witness is None else ",".join(str(m) for m in witness.masks())
         assert got == want, host
         assert (witness is None) == (host["expected"] == "none"), host
@@ -542,6 +548,113 @@ def test_endgame_prunes_only_with_a_start_above_the_lowest_vertex(monkeypatch):
     held = [got & avail & -avail for avail, _, got in equal if got is not None]
     assert all(held) and len(held) >= 30 and len(seen) - len(equal) >= 500, \
         (len(held), len(seen) - len(equal))
+
+
+# -- the odd-cycle cut on the third-from-last set ----------------------------------
+
+
+def test_bipartition_matches_brute_force():
+    # None exactly when no split into two independent sets exists; otherwise
+    # one [lower, upper] pair per component of G[mask], in order of lowest
+    # vertex, the lower side holding it, both sides independent.
+    rng = random.Random(107)
+    odd = 0
+    for _ in range(400):
+        n = rng.randrange(0, 13)
+        g = random_graph(n, rng.randrange(0, n * (n - 1) // 3 + 1), rng)
+        mask = rng.getrandbits(n) if n else 0
+        sides = _bipartition(g.adj, mask)
+        assert (sides is None) == (not split_sizes(g, mask)), (g, mask)
+        if sides is None:
+            odd += 1
+            continue
+        members = sorted(bits(mask))
+        sub = induced_subgraph(g, members)
+        comps = sorted((mask_of(members[v] for v in bits(c)) for c in components(sub)),
+                       key=lambda c: c & -c)
+        assert [lower | upper for lower, upper in sides] == comps, (g, mask)
+        for (lower, upper), comp in zip(sides, comps):
+            assert lower & upper == 0 and lower & comp & -comp
+            assert g.is_independent(lower) and g.is_independent(upper), (g, mask)
+    assert odd >= 50 and 400 - odd >= 250, odd
+
+
+def record_odd_cycle_cuts(monkeypatch):
+    """Spy on the odd-cycle rule: the answer of every packing._bipartition
+    call made outside _last_two_split, True when it cut the branch."""
+    cuts = []
+    in_split = []
+
+    def splitting(*args):
+        in_split.append(True)
+        try:
+            return _last_two_split(*args)
+        finally:
+            in_split.pop()
+
+    def recording(adj, mask):
+        sides = _bipartition(adj, mask)
+        if not in_split:
+            cuts.append(sides is None)
+        return sides
+
+    monkeypatch.setattr(packing, "_last_two_split", splitting)
+    monkeypatch.setattr(packing, "_bipartition", recording)
+    return cuts
+
+
+def test_odd_cycle_rule_prunes_only_on_tight_hosts(monkeypatch):
+    # While the third-from-last set grows on a tight host, the vertices it
+    # can no longer take go to the last two sets, which need them to split
+    # into two independent sets: an odd cycle among them cuts the branch.
+    # k = 3..5 with equal and mixed sizes, n <= 14; the rule must only
+    # prune, and never run on slack hosts or with k <= 2.
+    cuts = record_odd_cycle_cuts(monkeypatch)
+    rng = random.Random(109)
+    cases = {"tight": [], "other": []}
+    while len(cases["tight"]) < 200 or len(cases["other"]) < 120:
+        k = rng.randrange(1, 6)
+        if rng.random() < 0.5:
+            sizes = (rng.randrange(2, 14 // k + 1),) * k
+        else:
+            sizes = tuple(sorted((rng.randrange(1, 5) for _ in range(k)), reverse=True))
+        slack = rng.randrange(1, 3) if rng.random() < 0.3 else 0
+        n = sum(sizes) + slack
+        if n > 14 or n < 3:
+            continue
+        g = random_graph(n, rng.randrange(n // 2, n * (n - 1) // 3 + 1), rng)
+        if is_clique_union(g):
+            continue
+        kind = "tight" if slack == 0 and k >= 3 else "other"
+        if len(cases[kind]) < (200 if kind == "tight" else 120):
+            cases[kind].append((g, sizes))
+    searched = nones = ran = 0
+    for kind, group in cases.items():
+        for g, sizes in group:
+            before = len(cuts)
+            got_searched, got_none = assert_prunes_only([(g, sizes)])
+            searched += got_searched
+            nones += got_none
+            if kind == "other":
+                assert len(cuts) == before, (g, sizes)
+            else:
+                ran += len(cuts) > before
+            if len(set(sizes)) == 1:
+                fast = find_disjoint_independent_sets(g, len(sizes), sizes[0])
+                slow = naive_disjoint_independent_sets(g, len(sizes), sizes[0])
+                assert (fast is None) == (slow is None), (g, sizes)
+    assert searched >= 150 and nones >= 60 and ran >= 60, (searched, nones, ran)
+    assert cuts.count(True) >= 300 and cuts.count(False) >= 300, \
+        (cuts.count(True), cuts.count(False))
+
+
+def test_pool_pass_makes_few_last_two_splits(monkeypatch):
+    # The odd-cycle rule refutes most non-bipartite leftovers before the
+    # split sees them: one pass over the frozen pack-hard pool made 3,288
+    # split calls without it and 335 with it.
+    seen = record_split_calls(monkeypatch)
+    assert len(list(search_pool())) == 72
+    assert 0 < len(seen) <= 400, len(seen)
 
 
 # -- dead vertices at the root ----------------------------------------------------

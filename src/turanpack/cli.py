@@ -407,8 +407,8 @@ def _verify_one(obj: Any) -> tuple[bool | None, str]:
     its branch reads raises PreconditionError."""
     from .codec import parse_graph_text, to_graph6
     from .constructions import build_family
-    from .graphs import VertexSet
-    from .packing import (EquitableColoring, PackingWitness,
+    from .graphs import VertexSet, cross_edge_count
+    from .packing import (EquitableColoring, PackingWitness, biclique_violation,
                           verify_equitable_coloring, verify_witness)
     from .shifting import StructureCertificate, verify_certificate
 
@@ -461,6 +461,24 @@ def _verify_one(obj: Any) -> tuple[bool | None, str]:
                            f"parameters say {classes}")
         report = verify_equitable_coloring(g, coloring)
         return report.ok, report.violation or "coloring checks out"
+    if outcome == "certificate" and command == "color":
+        g = parse_graph_text(param("graph6", "a string"))
+        classes = param("classes", "an integer")
+        r = recorded("r", "an integer")
+        if r != classes:
+            return False, f"payload has r={r}, parameters say {classes} classes"
+        violation = biclique_violation(g, r)
+        if violation is not None:
+            return False, violation
+        sides = [VertexSet.from_members(g.n, members)
+                 for members in recorded("biclique", "a list of integer lists")]
+        if len(sides) != 2 or any(len(side) != r for side in sides):
+            return False, f"biclique is not two sides of {r} vertices"
+        if sides[0].mask & sides[1].mask:
+            return False, "biclique sides overlap"
+        if cross_edge_count(g, *sides) != r * r:
+            return False, f"biclique lacks some of its {r * r} cross edges"
+        return True, "certificate checks out"
     if command == "construct" and outcome == "value":
         family = param("family", "a string")
         graph6 = recorded("graph6", "a string")
@@ -509,6 +527,7 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: oracle <pattern> n=<int> [k=..] [p=..] [q=..]")
     from .formulas import FormulaQuery, lookup_pattern, pattern_cliques
+    from .graphs import MAX_EDGE_LIST_N
     from .oracle import exhaustive_ex_sizes
 
     pattern = args.tokens[0]
@@ -518,8 +537,13 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
     compact = re.fullmatch(r"(\d*)K(\d+)", pattern)
     check_params(f"pattern {pattern}", params, required=("n",),
                  optional=() if compact else lookup_pattern(pattern).params)
+    # The record echoes sizes, so refuse a clique count too large to build;
+    # a named pattern has at most four cliques unless it reads k.
+    count = int(compact.group(1) or 1) if compact else params.get("k", 1)
+    if count > MAX_EDGE_LIST_N:
+        raise SizeGuardError(f"oracle guard: {count} cliques > {MAX_EDGE_LIST_N}")
     if compact:
-        sizes = (int(compact.group(2)),) * int(compact.group(1) or 1)
+        sizes = (int(compact.group(2)),) * count
     else:
         sizes = pattern_cliques(FormulaQuery(pattern, **params))
     value, extremal = exhaustive_ex_sizes(params["n"], sizes,

@@ -109,7 +109,9 @@ def exhaustive_ex_sizes(n: int, sizes: tuple[int, ...],
             f"n={n} > guard {guard}; raise the guard knowingly")
     num_edges = n * (n - 1) // 2
     full = (1 << num_edges) - 1
-    placements = _placement_masks(n, tuple(sizes))
+    # sum(sizes) > n leaves no placement; testing it first spares
+    # _subsets_with_masks a combinations() call that allocates size indices.
+    placements = [] if sum(sizes) > n else _placement_masks(n, tuple(sizes))
     if not placements:
         # Pattern cannot be placed at all; every graph avoids it.
         return num_edges, _graph_of_mask(n, full)

@@ -46,7 +46,9 @@ With k = 1 the one set is every vertex, taken iff it is independent.
 
 Hosts whose components are all cliques or isolated vertices take an
 analytic path that works at any n; everything else is guarded by a
-configurable size cap.
+configurable size cap. An exact equitable r-coloring is the tight search
+with sizes ceil(n/r) and floor(n/r); a K_(r,r) certificate of its absence
+needs a proper r-coloring, which Brooks' theorem settles.
 """
 
 from __future__ import annotations
@@ -519,6 +521,8 @@ def find_disjoint_independent_sets(g: Graph, k: int, p: int,
     """Exact: k pairwise disjoint independent p-sets in g, or None."""
     if k < 1 or p < 1:
         raise PreconditionError("requires k >= 1 and p >= 1")
+    if k * p > g.n:  # before (p,) * k, which a huge k could not allocate
+        return None
     masks = _find_disjoint_sets(g, (p,) * k, guard_n)
     if masks is None:
         return None
@@ -683,36 +687,17 @@ def equitable_coloring(g: Graph, num_classes: int) -> EquitableColoring:
     return coloring
 
 
-def _color_with_capacities(g: Graph, caps: list[int]) -> list[int] | None:
-    """Backtracking proper coloring with per-class size caps; vertices are
-    placed in descending-degree order, empty equal-cap classes deduplicated."""
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    q = len(caps)
-    classes = [0] * q
-    used = [0] * q
-
-    def place(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        row = g.adj[v]
-        tried_empty_caps = set()
-        for c in range(q):
-            if used[c] >= caps[c] or row & classes[c]:
-                continue
-            if used[c] == 0:
-                if caps[c] in tried_empty_caps:
-                    continue
-                tried_empty_caps.add(caps[c])
-            classes[c] |= 1 << v
-            used[c] += 1
-            if place(i + 1):
-                return True
-            classes[c] &= ~(1 << v)
-            used[c] -= 1
-        return False
-
-    return classes if place(0) else None
+def biclique_violation(g: Graph, r: int) -> str | None:
+    """Why a K_(r,r) certificate cannot stand for g at r classes, or None:
+    it needs odd r <= 4, max degree <= r and a proper r-coloring, which by
+    Brooks' theorem exists iff no component is K_(r+1)."""
+    if r % 2 == 0 or r > 4:
+        return f"r={r} is not odd and at most 4"
+    if g.max_degree() > r:
+        return f"max degree {g.max_degree()} > r={r}"
+    if any(comp.bit_count() == r + 1 and g.is_clique(comp) for comp in components(g)):
+        return f"a component is K_{r + 1}, so there is no proper {r}-coloring"
+    return None
 
 
 def _find_biclique(g: Graph, r: int) -> tuple[VertexSet, VertexSet] | None:
@@ -720,34 +705,22 @@ def _find_biclique(g: Graph, r: int) -> tuple[VertexSet, VertexSet] | None:
     from itertools import combinations
 
     for a_tuple in combinations(range(g.n), r):
-        common = g.full_mask()
+        a_mask = sum(1 << v for v in a_tuple)
+        common = g.full_mask() & ~a_mask
         for v in a_tuple:
             common &= g.adj[v]
-        for v in a_tuple:
-            common &= ~(1 << v)
         if common.bit_count() >= r:
-            b_mask = 0
-            taken = 0
-            for v in bits(common):
-                b_mask |= 1 << v
-                taken += 1
-                if taken == r:
-                    break
-            a_mask = 0
-            for v in a_tuple:
-                a_mask |= 1 << v
+            b_mask = sum(1 << v for v in list(bits(common))[:r])
             return VertexSet(g.n, a_mask), VertexSet(g.n, b_mask)
     return None
 
 
 def equitable_coloring_exact(g: Graph, r: int,
                              guard_n: int | None = None) -> ExactColoringResult:
-    """Exhaustively decide whether an equitable r-coloring exists.
-
-    When none exists and the instance matches the known dichotomy
-    conditions (odd r <= 4 with max degree <= r and an ordinary r-coloring
-    available), a K_(r,r) subgraph certificate is attached.
-    """
+    """Exactly decide whether an equitable r-coloring exists: the tight
+    search for classes of sizes ceil(n/r) and floor(n/r), padded with empty
+    classes when r > n. When none exists and `biclique_violation` finds
+    nothing against it, a K_(r,r) subgraph certificate is attached."""
     if r < 1:
         raise PreconditionError("need at least one class")
     if r > MAX_EDGE_LIST_N:
@@ -756,16 +729,15 @@ def equitable_coloring_exact(g: Graph, r: int,
     if g.n > guard:
         raise SizeGuardError(f"equitable_coloring_exact guard: n={g.n} > {guard}")
     hi, extra = divmod(g.n, r)
-    caps = [hi + 1] * extra + [hi] * (r - extra)
-    classes = _color_with_capacities(g, caps)
+    sizes = (hi + 1,) * extra + ((hi,) * (r - extra) if hi else ())
+    classes = _find_disjoint_sets(g, sizes, guard_n)
     if classes is not None:
+        classes += [0] * (r - len(classes))
         coloring = EquitableColoring(tuple(VertexSet(g.n, m) for m in classes))
         report = verify_equitable_coloring(g, coloring)
         if not report.ok:  # pragma: no cover - search output is correct by construction
             raise SoundnessAlarm(f"exact coloring failed verification: {report.violation}")
         return ExactColoringResult(coloring)
-    certificate = None
-    if r <= 4 and r % 2 == 1 and g.max_degree() <= r:
-        if _color_with_capacities(g, [g.n] * r) is not None:
-            certificate = _find_biclique(g, r)
-    return ExactColoringResult(None, certificate)
+    if biclique_violation(g, r) is not None:
+        return ExactColoringResult(None)
+    return ExactColoringResult(None, _find_biclique(g, r))

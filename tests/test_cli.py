@@ -11,7 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from turanpack import to_edge_list_text, union_of_cliques
+from turanpack import (complete_graph, disjoint_union, from_edge_list, to_edge_list_text,
+                       to_graph6, union_of_cliques)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -295,6 +296,63 @@ def test_verify_checks_set_and_class_counts(run_cli):
         code, out = run_cli(["verify", "--record", "-"], stdin=color_line)
         assert code == 0
         assert record_of(out)["payload"]["verified"] is True
+
+
+def test_verify_checks_color_certificates(run_cli):
+    # verify once answered "verified": null for a color exact=1 certificate.
+    _, line = run_cli(["color", "classes=3", "exact=1", "--input", "-"], stdin=K33_TEXT)
+    good = json.loads(line)
+    assert good["outcome"] == "certificate"
+    assert good["payload"] == {"biclique": [[0, 1, 2], [3, 4, 5]], "r": 3}
+    code, out = run_cli(["verify", "--record", "-"], stdin=line)
+    assert code == 0
+    assert record_of(out)["payload"] == {"verified": True, "detail": "certificate checks out"}
+
+    k33_edges = [(u, v) for u in range(3) for v in range(3, 6)]
+    k33 = from_edge_list(6, k33_edges)
+    hub = to_graph6(from_edge_list(6, [*k33_edges, (0, 1)]))
+    with_k4 = to_graph6(disjoint_union(k33, complete_graph(4)))
+    tampered = [
+        ({"payload.r": 5}, "payload has r=5, parameters say 3 classes"),
+        ({"payload.r": 2, "parameters.classes": 2}, "r=2 is not odd and at most 4"),
+        ({"payload.r": 5, "parameters.classes": 5}, "r=5 is not odd and at most 4"),
+        ({"parameters.graph6": hub}, "max degree 4 > r=3"),
+        ({"parameters.graph6": with_k4},
+         "a component is K_4, so there is no proper 3-coloring"),
+        ({"payload.biclique": [[0, 1, 2], [3, 4]]}, "biclique is not two sides of 3 vertices"),
+        ({"payload.biclique": [[0, 1, 2]]}, "biclique is not two sides of 3 vertices"),
+        ({"payload.biclique": [[0, 1, 2], [2, 4, 5]]}, "biclique sides overlap"),
+        ({"payload.biclique": [[0, 1, 3], [2, 4, 5]]},
+         "biclique lacks some of its 9 cross edges"),
+    ]
+    for changes, detail in tampered:
+        record = json.loads(line)
+        for path, value in changes.items():
+            section, key = path.split(".")
+            record[section][key] = value
+        code, out = run_cli(["verify", "--record", "-"], stdin=json.dumps(record) + "\n")
+        assert code == 2, changes
+        assert record_of(out)["payload"] == {"verified": False, "detail": detail}, changes
+
+
+def test_oversized_patterns_end_without_allocating(run_cli):
+    # Each built a size tuple of about 10**11 entries before any guard and
+    # ended in a MemoryError traceback.
+    code, out = run_cli(["pack", "k=99999999999", "p=1", "--input", "-"], stdin=K33_TEXT)
+    assert code == 0
+    assert record_of(out)["outcome"] == "none"
+    for argv in (["oracle", "99999999999K2", "n=3"], ["oracle", "kK2", "n=3", "k=99999999999"]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code, out = run_cli(argv)
+        assert (code, out) == (3, ""), argv
+        assert stderr.getvalue() == "size guard: oracle guard: 99999999999 cliques > 16384\n"
+    for argv in (["oracle", "3K99999999999", "n=3"], ["oracle", "4Kp", "n=3", "p=99999999999"]):
+        code, out = run_cli(argv)
+        assert code == 0, argv
+        payload = record_of(out)["payload"]
+        assert payload["value"] == 3 and payload["extremal"]["edges"] == 3, argv
+        assert set(payload["sizes"]) == {99999999999}, argv
 
 
 def test_graph6_input_holds_one_graph(run_cli):

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from turanpack import (EquitableColoring, Graph, PreconditionError, VertexSet,
-                       complete_graph, cross_edge_count, equitable_coloring,
-                       equitable_coloring_exact, from_edge_list,
+                       complete_graph, cross_edge_count, disjoint_union, empty_graph,
+                       equitable_coloring, equitable_coloring_exact, from_edge_list,
                        union_of_cliques, verify_equitable_coloring)
+from turanpack.packing import biclique_violation
 
 C5 = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 C6 = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
@@ -142,3 +143,60 @@ def test_clique_union_is_easy():
     coloring = equitable_coloring(g, 7)
     assert verify_equitable_coloring(g, coloring).ok
     assert class_sizes(coloring) == [3, 3, 3, 3, 3, 3, 3]
+
+
+def all_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def colorings(n, r, equitable):
+    """Every assignment of r colours to n vertices, as class masks, kept
+    only when the class sizes differ by at most one if equitable."""
+    out = []
+    for colors in itertools.product(range(r), repeat=n):
+        classes = [0] * r
+        for v, c in enumerate(colors):
+            classes[c] |= 1 << v
+        sizes = [m.bit_count() for m in classes]
+        if not equitable or max(sizes) - min(sizes) <= 1:
+            out.append(classes)
+    return out
+
+
+def has_coloring(g, candidates):
+    return any(all(g.is_independent(m) for m in classes) for classes in candidates)
+
+
+def test_exact_matches_brute_force_over_colour_assignments():
+    for n, top in [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5, 3)]:
+        for r in range(1, top + 1):
+            candidates = colorings(n, r, equitable=True)
+            for g in all_graphs(n):
+                result = equitable_coloring_exact(g, r)
+                assert (result.coloring is not None) == has_coloring(g, candidates), (g.adj, r)
+                if result.coloring is not None:
+                    assert len(result.coloring.classes) == r
+                    assert verify_equitable_coloring(g, result.coloring).ok
+
+
+def test_brooks_check_matches_brute_force_colourability():
+    for r in (1, 3):
+        for n in range(6):
+            candidates = colorings(n, r, equitable=False)
+            for g in all_graphs(n):
+                if g.max_degree() <= r:
+                    assert (biclique_violation(g, r) is None) == has_coloring(g, candidates)
+
+
+def test_exact_named_hosts():
+    # K3,3 plus K4 has no proper 3-coloring at all, so no K_(3,3) certificate
+    result = equitable_coloring_exact(disjoint_union(K33, complete_graph(4)), 3)
+    assert result == (None, None)
+    # more classes than vertices: singletons, then empty classes
+    result = equitable_coloring_exact(C5, 7)
+    assert [len(vs) for vs in result.coloring.classes] == [1] * 5 + [0] * 2
+    assert verify_equitable_coloring(C5, result.coloring).ok
+    result = equitable_coloring_exact(empty_graph(0), 3)
+    assert [vs.mask for vs in result.coloring.classes] == [0, 0, 0]

@@ -105,7 +105,10 @@ def load_config(path: str) -> dict[str, Any]:
             key, sep, raw = line.partition("=")
             if not sep:
                 raise PreconditionError(f"config line must be key=value: {line!r}")
-            config[key.strip()] = _coerce(raw.strip())
+            key = key.strip()
+            if key in config:
+                raise PreconditionError(f"config key {key} is given more than once")
+            config[key] = _coerce(raw.strip())
     extra = set(config) - set(CONFIG_KEYS)
     if extra:
         raise PreconditionError(f"unknown config keys: {', '.join(sorted(extra))}")

@@ -217,11 +217,6 @@ FAMILIES = {
     "complete": Family(("n",), (), lambda n: (complete_graph(n), None, None), edges=binom2),
 }
 
-# CLI-facing registry: the parameters each family takes.
-CLI_FAMILIES = {name: (*family.required, *family.optional)
-                for name, family in FAMILIES.items()}
-
-
 _OTHER_SIDE = {"self": "complement", "complement": "self", None: None}
 
 

@@ -21,7 +21,6 @@ REGIME_TURAN = "turan"
 REGIME_CLIQUE_BLOCK = "clique-block"
 REGIME_CLIQUE_UNION = "clique-union"
 REGIME_HUB_JOIN = "hub-join"
-REGIME_HUB_JOIN_EXT = "hub-join-extension"
 REGIME_TIGHT_A = "tight-family-A"
 REGIME_TIGHT_B = "tight-family-B"
 REGIME_NEAR_TIGHT = ("near-tight-1", "near-tight-2", "near-tight-3", "near-tight-4")
@@ -75,15 +74,6 @@ def ex_single_clique(n: int, p: int) -> TuranValue:
         return _small_host(n, 1, p)
     ref = ConstructionRef("turan", {"n": n, "p": p - 1}, complemented=True)
     return TuranValue(turan_edges(n, p - 1), REGIME_TURAN, ref)
-
-
-def min_edges_alpha_bound(n: int, p: int) -> int:
-    """Minimum edges of an n-vertex graph with independence number < p."""
-    if p < 2:
-        raise PreconditionError("independence bound must be at least 2")
-    if n < 0:
-        raise PreconditionError("vertex count must be nonnegative")
-    return binom2(n) - turan_edges(n, p - 1)
 
 
 def ex_k_matchings(n: int, k: int) -> TuranValue:
@@ -221,26 +211,6 @@ def hub_join_edges(k: int, n: int, p: int) -> int:
         raise PreconditionError("host too small for the hub")
     m = n - k + 1
     return binom2(k - 1) + (k - 1) * m + turan_edges(m, p - 1)
-
-
-def extend_hub_join_value(n0: int, k: int, p: int, verified_value: int,
-                          n: int) -> TuranValue:
-    """Extend an exact value anchored at n0 to any n >= n0.
-
-    Once the extremal count at some n0 >= kp equals the hub-join
-    construction count, the same family stays extremal for every larger
-    host; the caller supplies the verified anchor and we refuse mismatches.
-    """
-    if n0 < k * p:
-        raise PreconditionError("anchor must satisfy n0 >= k*p")
-    expected = hub_join_edges(k, n0, p)
-    if verified_value != expected:
-        raise PreconditionError(
-            f"anchor value {verified_value} != hub-join count {expected} at n0={n0}")
-    if n < n0:
-        raise PreconditionError("extension only applies for n >= n0")
-    ref = ConstructionRef("hub-join", {"k": k, "n": n, "p": p}, complemented=True)
-    return TuranValue(hub_join_edges(k, n, p), REGIME_HUB_JOIN_EXT, ref)
 
 
 def _tight_cliques(query: FormulaQuery) -> tuple[int, ...]:

@@ -76,9 +76,6 @@ class VertexSet:
     def __iter__(self) -> Iterator[int]:
         return bits(self.mask)
 
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self.mask & other.mask == 0
-
 
 class Graph:
     """Undirected simple graph; vertices are 0..n-1, rows are bitmasks."""
@@ -221,27 +218,6 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, adj)
 
 
-def induced_subgraph(g: Graph, vertices: VertexSet | Iterable[int]) -> Graph:
-    """Subgraph induced by the given vertices, relabeled to 0..k-1 preserving
-    relative order."""
-    if isinstance(vertices, VertexSet):
-        if vertices.n != g.n:
-            raise PreconditionError("vertex set bound to a different graph size")
-        keep = list(vertices.members())
-    else:
-        keep = sorted(set(vertices))
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise PreconditionError(f"vertex {v} outside range 0..{g.n - 1}")
-    index = {v: i for i, v in enumerate(keep)}
-    adj = [0] * len(keep)
-    for v in keep:
-        for u in bits(g.adj[v]):
-            if u in index:
-                adj[index[v]] |= 1 << index[u]
-    return Graph(len(keep), adj)
-
-
 def cross_edge_count(g: Graph, a: VertexSet | Iterable[int], b: VertexSet | Iterable[int]) -> int:
     """Number of edges with one endpoint in a and the other in b.
 
@@ -327,16 +303,6 @@ def rigid_clique_profile(g: Graph, k: int, s: int) -> tuple[list[int], int] | No
             or any(m.bit_count() != 2 * k - 1 for m in profile[0])):
         return None
     return profile
-
-
-def clique_component_sizes(g: Graph) -> list[int] | None:
-    """If every component induces a complete graph, return the sorted
-    (descending) size list; otherwise None. Singletons count as size 1."""
-    profile = clique_union_profile(g)
-    if profile is None:
-        return None
-    cliques, pool = profile
-    return [m.bit_count() for m in cliques] + [1] * pool.bit_count()
 
 
 # -- edge-list text format -------------------------------------------------

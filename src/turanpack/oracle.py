@@ -93,7 +93,19 @@ def exhaustive_ex(n: int, k: int, p: int,
     """
     if k < 1 or p < 1:
         raise PreconditionError("need k >= 1 and p >= 1")
-    return exhaustive_ex_sizes(n, (p,) * k, guard=guard)
+    _guard_host(n, guard)
+    # n // p + 1 cliques already leave no placement, so capping k there keeps
+    # the answer and spares a huge k its size tuple.
+    return exhaustive_ex_sizes(n, (p,) * min(k, n // p + 1), guard=guard)
+
+
+def _guard_host(n: int, guard: int | None) -> None:
+    if guard is None:
+        guard = DEFAULT_ORACLE_GUARD
+    if n > guard:
+        raise SizeGuardError(
+            f"exhaustive search over 2^{n * (n - 1) // 2} graphs refused for "
+            f"n={n} > guard {guard}; raise the guard knowingly")
 
 
 def exhaustive_ex_sizes(n: int, sizes: tuple[int, ...],
@@ -101,12 +113,7 @@ def exhaustive_ex_sizes(n: int, sizes: tuple[int, ...],
     """exhaustive_ex for a pattern of disjoint cliques with mixed sizes."""
     if n < 0 or not sizes or any(size < 1 for size in sizes):
         raise PreconditionError("need n >= 0 and positive clique sizes")
-    if guard is None:
-        guard = DEFAULT_ORACLE_GUARD
-    if n > guard:
-        raise SizeGuardError(
-            f"exhaustive search over 2^{n * (n - 1) // 2} graphs refused for "
-            f"n={n} > guard {guard}; raise the guard knowingly")
+    _guard_host(n, guard)
     num_edges = n * (n - 1) // 2
     full = (1 << num_edges) - 1
     # sum(sizes) > n leaves no placement; testing it first spares
@@ -216,10 +223,3 @@ def naive_disjoint_independent_sets(g: Graph, k: int, p: int) -> PackingWitness 
 
     return PackingWitness(tuple(VertexSet(g.n, m) for m in found))
 
-
-def naive_contains_clique_union(g: Graph, k: int, p: int) -> bool:
-    """Whether g contains k vertex-disjoint p-cliques (reference route via
-    the complement)."""
-    from .graphs import complement
-
-    return naive_disjoint_independent_sets(complement(g), k, p) is not None

@@ -61,15 +61,6 @@ def _guard_largest_host(n: int) -> None:
         raise SizeGuardError(f"probe guard: largest host n={n} > {MAX_EDGE_LIST_N}")
 
 
-def is_rigid_small_clique_union(g: Graph, k: int, s: int) -> bool:
-    """Whether g is exactly (s/(k-1)) copies of the (2k-1)-clique plus
-    isolated vertices; the edge count (2k-1)s follows. Needs k >= 2, as
-    probe_dichotomy does."""
-    if k < 2:
-        raise PreconditionError("need k >= 2")
-    return rigid_clique_profile(g, k, s) is not None
-
-
 class DichotomyProbeReport:
     def __init__(self, k: int, p: int, trials: int, seed: int):
         self.k = k
@@ -115,7 +106,7 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
             if not check.ok:
                 raise SoundnessAlarm(f"search returned a bad witness: {check.violation}")
             report.witnessed += 1
-        elif is_rigid_small_clique_union(g, k, s):
+        elif rigid_clique_profile(g, k, s) is not None:
             report.rigid += 1
         else:
             report.counterexample = to_graph6(g)

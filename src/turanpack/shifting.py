@@ -76,12 +76,6 @@ class PartitionState:
                 return i
         return None
 
-    def class_of(self, v: int) -> int:
-        for i, mask in enumerate(self.classes):
-            if mask >> v & 1:
-                return i
-        raise PreconditionError(f"vertex {v} not in any class")
-
     def witness(self) -> PackingWitness | None:
         if self.destination is not None:
             return None
@@ -234,49 +228,22 @@ def solo_neighbor(st: PartitionState, v: int, j: int) -> int | None:
     return None
 
 
-def apply_shift(st: PartitionState, path: tuple[int, ...],
-                movers: tuple[int, ...]) -> PartitionState:
-    """Move movers[i] from class path[i] to class path[i+1], front to back,
-    checking movability against the classes as they evolve."""
-    if len(path) < 2 or len(set(path)) != len(path):
-        raise PreconditionError("path must visit at least two distinct classes")
-    if len(movers) != len(path) - 1:
-        raise PreconditionError("need exactly one mover per path arc")
-    return _relocate(st, zip(movers, path, path[1:]), exempt=None)
-
-
-def _relocate(st: PartitionState, steps: Iterable[tuple[int, int, int]],
-              exempt: int | None = 0) -> PartitionState:
+def _relocate(st: PartitionState, steps: Iterable[tuple[int, int, int]]) -> PartitionState:
     """Apply the steps (v, i, j) in order: move v from class i to class j.
     v must lie in class i and have no neighbor in class j as the classes
-    stand at that step; class `exempt` (class 0, which need not be
-    independent) is not checked as a target."""
+    stand at that step; class 0, which need not be independent, is not
+    checked as a target."""
     classes = list(st.classes)
     adj = st.graph.adj
     for v, i, j in steps:
         bit = 1 << v
         if not classes[i] & bit:
             raise PreconditionError(f"mover {v} is not in class {i}")
-        if j != exempt and adj[v] & classes[j]:
+        if j != 0 and adj[v] & classes[j]:
             raise PreconditionError(f"mover {v} has neighbors in class {j}")
         classes[i] &= ~bit
         classes[j] |= bit
     return PartitionState(st.graph, st.p, tuple(classes))
-
-
-def check_blocked_domination(st: PartitionState, aux: AuxDigraph) -> bool:
-    """Every vertex of every inaccessible class must have at least one
-    neighbor in every accessible class (recomputed from the graph; a
-    corrupted aux digraph makes this fail)."""
-    g = st.graph
-    for b in aux.inaccessible:
-        for a in aux.accessible:
-            if a == b:
-                continue
-            for v in bits(st.classes[b]):
-                if g.adj[v] & st.classes[a] == 0:
-                    return False
-    return True
 
 
 # -- move proposals ------------------------------------------------------------

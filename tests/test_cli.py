@@ -525,8 +525,9 @@ def test_non_integer_or_negative_parameters_exit_2(run_cli):
 
 
 def test_config_values_are_checked(run_cli, tmp_path):
-    # guard_n and budget once escaped as TypeError tracebacks (exit 1), and
-    # a misspelt key was silently ignored
+    # guard_n and budget once escaped as TypeError tracebacks (exit 1), a
+    # misspelt key was silently ignored and a repeated key silently took its
+    # last value
     config = tmp_path / "turanpack.conf"
     host_text = "12\n0 1\n1 2\n"
     for text, argv, message in [
@@ -538,7 +539,9 @@ def test_config_values_are_checked(run_cli, tmp_path):
              "config needs integer parameters: seed"),
             ("format = xml\n", ["table", "4Kp", "p=3", "n=12:13"],
              "config format must be one of json, csv, graph6, got 'xml'"),
-            ("gaurd_n = 3\n", ["oracle", "K3", "n=6"], "unknown config keys: gaurd_n")]:
+            ("gaurd_n = 3\n", ["oracle", "K3", "n=6"], "unknown config keys: gaurd_n"),
+            ("guard_n = 3\nguard_n = 64\n", ["pack", "k=2", "p=3", "--input", "-"],
+             "config key guard_n is given more than once")]:
         config.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -865,33 +868,28 @@ def test_oracle_and_graph_commands_skip_unused_layers(tmp_path):
 
 
 PUBLIC_NAMES = [
-    "AuxDigraph", "CLI_FAMILIES", "ConstructionDescriptor", "ConstructionRef",
-    "DichotomyProbeReport", "EngineTrace", "EquitableColoring", "ExactColoringResult",
-    "FormulaQuery", "Graph", "Move", "PackingWitness", "PartitionState",
-    "PreconditionError", "RECORD_VERSION", "ResultRecord", "SizeGuardError",
-    "SoundnessAlarm", "StructureCertificate", "TuranValue", "ValueSweepReport",
-    "ValueSweepRow", "VerificationReport", "VertexSet", "accessible_path",
-    "apply_shift", "binom2", "build_aux_digraph", "build_family", "build_ref",
-    "certify_k7_structure", "check_blocked_domination", "check_preconditions",
-    "claim_holds", "clique_component_sizes", "clique_union_profile", "codec",
-    "complement", "complete_graph", "components", "constructions", "cross_edge_count",
-    "disjoint_union", "dispatch_formula", "empty_graph", "equitable_coloring",
-    "equitable_coloring_exact",
-    "errors", "ex_2_cliques", "ex_3_cliques", "ex_4_cliques", "ex_k_matchings",
+    "AuxDigraph", "ConstructionDescriptor", "ConstructionRef", "DichotomyProbeReport",
+    "EngineTrace", "EquitableColoring", "ExactColoringResult", "FormulaQuery", "Graph",
+    "Move", "PackingWitness", "PartitionState", "PreconditionError", "RECORD_VERSION",
+    "ResultRecord", "SizeGuardError", "SoundnessAlarm", "StructureCertificate",
+    "TuranValue", "ValueSweepReport", "ValueSweepRow", "VerificationReport",
+    "VertexSet", "accessible_path", "binom2", "build_aux_digraph", "build_family",
+    "build_ref", "certify_k7_structure", "check_preconditions", "claim_holds",
+    "clique_union_profile", "codec", "complement", "complete_graph", "components",
+    "constructions", "cross_edge_count", "disjoint_union", "dispatch_formula",
+    "empty_graph", "equitable_coloring", "equitable_coloring_exact", "errors",
+    "ex_2_cliques", "ex_3_cliques", "ex_4_cliques", "ex_k_matchings",
     "ex_single_clique", "ex_tight_k_cliques", "ex_two_distinct_cliques",
-    "exhaustive_ex", "exhaustive_ex_sizes", "extend_hub_join_value", "f3_min_edges",
-    "find_clique_packing", "find_disjoint_independent_sets", "formulas",
-    "from_edge_list", "from_edge_list_text", "from_graph6", "graphs", "hub_join",
-    "hub_join_edges", "independence_number", "induced_subgraph", "init_partition",
-    "is_rigid_small_clique_union", "join", "min_edges_alpha_bound",
-    "naive_contains_clique_union", "naive_disjoint_independent_sets",
+    "exhaustive_ex", "exhaustive_ex_sizes", "f3_min_edges", "find_clique_packing",
+    "find_disjoint_independent_sets", "formulas", "from_edge_list",
+    "from_edge_list_text", "from_graph6", "graphs", "hub_join", "hub_join_edges",
+    "independence_number", "init_partition", "join", "naive_disjoint_independent_sets",
     "naive_independent_sets", "near_tight_witness", "oracle", "packing",
     "parse_graph_text", "probe_dichotomy", "probe_value_sweep", "probes",
-    "propose_moves", "random_bounded_graph", "records", "resolve",
-    "rigid_clique_union", "shifting", "solo_neighbor", "star_graph", "tight_family_a",
-    "tight_family_b", "to_edge_list_text", "to_graph6", "turan_edges", "turan_graph",
-    "union_of_cliques", "verify_certificate", "verify_equitable_coloring",
-    "verify_witness"]
+    "propose_moves", "random_bounded_graph", "records", "resolve", "rigid_clique_union",
+    "shifting", "solo_neighbor", "star_graph", "tight_family_a", "tight_family_b",
+    "to_edge_list_text", "to_graph6", "turan_edges", "turan_graph", "union_of_cliques",
+    "verify_certificate", "verify_equitable_coloring", "verify_witness"]
 
 
 def test_lazy_package_keeps_its_public_names():
@@ -920,4 +918,4 @@ print(json.dumps(names))
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 102
+    assert len(PUBLIC_NAMES) == 93

@@ -12,13 +12,21 @@ import pytest
 
 from turanpack import (ConstructionRef, FormulaQuery, PreconditionError, SizeGuardError,
                        binom2, build_family, build_ref, claim_holds,
-                       clique_component_sizes, complement, dispatch_formula, ex_4_cliques,
+                       clique_union_profile, complement, dispatch_formula, ex_4_cliques,
                        from_graph6, hub_join, hub_join_edges,
                        near_tight_witness, rigid_clique_union, star_graph,
                        tight_family_a, tight_family_b, to_graph6, turan_graph,
                        union_of_cliques)
-from turanpack.constructions import CLI_FAMILIES, FAMILIES
+from turanpack.constructions import FAMILIES
 from turanpack.graphs import MAX_EDGE_LIST_N
+
+
+def clique_sizes(g):
+    """The component sizes, largest first, of a disjoint union of cliques."""
+    profile = clique_union_profile(g)
+    assert profile is not None, "not a union of cliques"
+    cliques, isolated = profile
+    return [m.bit_count() for m in cliques] + [1] * isolated.bit_count()
 
 
 def test_turan_graph_balanced():
@@ -53,7 +61,7 @@ def test_union_of_cliques():
     g = union_of_cliques([3, 3], 2)
     assert g.n == 8
     assert g.edge_count() == 6
-    assert clique_component_sizes(g) == [3, 3, 1, 1]
+    assert clique_sizes(g) == [3, 3, 1, 1]
 
 
 def test_star_graph():
@@ -66,13 +74,13 @@ def test_star_graph():
 def test_rigid_clique_union_counts():
     g = rigid_clique_union(4, 3, 3)
     assert (g.n, g.edge_count()) == (14, 21)
-    assert clique_component_sizes(g) == [7] + [1] * 7
+    assert clique_sizes(g) == [7] + [1] * 7
     g = rigid_clique_union(4, 3, 4)
     assert (g.n, g.edge_count()) == (15, 28)
-    assert clique_component_sizes(g) == [8] + [1] * 7
+    assert clique_sizes(g) == [8] + [1] * 7
     g = rigid_clique_union(4, 4, 8)
     assert (g.n, g.edge_count()) == (23, 56)
-    assert clique_component_sizes(g) == [8, 8] + [1] * 7
+    assert clique_sizes(g) == [8, 8] + [1] * 7
     g = rigid_clique_union(3, 3, 2)
     assert (g.n, g.edge_count()) == (10, 10)
 
@@ -106,7 +114,7 @@ def test_tight_families():
     g = tight_family_a(4, 3)
     assert g.n == 12
     assert g.edge_count() == binom2(5)
-    assert clique_component_sizes(g) == [5] + [1] * 7
+    assert clique_sizes(g) == [5] + [1] * 7
 
     g = tight_family_b(5, 3, 12)
     assert g.n == 15
@@ -133,7 +141,7 @@ def test_tight_families_coincide_at_boundary():
 def test_near_tight_witness_counts():
     g1 = near_tight_witness("G1", 3)
     assert (g1.n, g1.edge_count()) == (13, 15)
-    assert clique_component_sizes(g1) == [6] + [1] * 7
+    assert clique_sizes(g1) == [6] + [1] * 7
     g2 = near_tight_witness("G2", 3)
     assert (g2.n, g2.edge_count()) == (14, 21)
     g3 = near_tight_witness("G3", 3)
@@ -233,7 +241,7 @@ def test_build_family_vertex_count_and_cap():
              ("G1", {"p": 3}), ("G2", {"p": 4}), ("G3", {"p": 3}), ("G4", {"p": 3}),
              ("G5", {"p": 5}), ("clique-block", {"r": 4, "n": 9}),
              ("empty", {"n": 5}), ("complete", {"n": 5})]
-    assert {family for family, _ in cases} == set(CLI_FAMILIES)
+    assert {family for family, _ in cases} == set(FAMILIES)
     for family, params in cases:
         g, _ = build_family(family, params)
         assert g.n == FAMILIES[family].vertices(**params), family

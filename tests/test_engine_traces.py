@@ -185,10 +185,10 @@ def test_direct_path_shift_is_the_digraphs_first_move(monkeypatch):
     step."""
     taken = []
 
-    def recording(st, steps, exempt=0):
+    def recording(st, steps):
         steps = tuple(steps)
         taken[-1].append((st, steps))
-        return _relocate(st, steps, exempt)
+        return _relocate(st, steps)
 
     def run(g, p):
         taken.append([])

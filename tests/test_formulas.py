@@ -16,9 +16,8 @@ from turanpack import (FormulaQuery, PreconditionError, binom2,
                        dispatch_formula, ex_2_cliques, ex_3_cliques,
                        ex_4_cliques, ex_k_matchings, ex_single_clique,
                        ex_tight_k_cliques, ex_two_distinct_cliques,
-                       exhaustive_ex, exhaustive_ex_sizes,
-                       extend_hub_join_value, f3_min_edges, hub_join_edges,
-                       min_edges_alpha_bound, turan_edges)
+                       exhaustive_ex, exhaustive_ex_sizes, f3_min_edges,
+                       hub_join_edges, turan_edges)
 
 
 def multipartite_max_edges(n, p):
@@ -70,7 +69,6 @@ def test_single_clique_frozen():
     assert ex_single_clique(5, 3).value == 6
     assert ex_single_clique(9, 4).value == 27
     assert ex_single_clique(2, 3).value == 1
-    assert min_edges_alpha_bound(7, 3) == 9
 
 
 def test_single_clique_matches_oracle():
@@ -204,7 +202,7 @@ def test_f3_frozen():
         f3_min_edges(14, 3)
 
 
-# -- hub join and extension ------------------------------------------------------
+# -- hub join --------------------------------------------------------------------
 
 
 def test_hub_join_edges_frozen():
@@ -213,21 +211,9 @@ def test_hub_join_edges_frozen():
     assert hub_join_edges(2, 9, 3) == 24
 
 
-def test_extend_hub_join_value():
-    assert extend_hub_join_value(19, 4, 3, 115, 20).value == 126
-    assert extend_hub_join_value(19, 4, 3, 115, 19).value == 115
-    with pytest.raises(PreconditionError):
-        extend_hub_join_value(19, 4, 3, 114, 20)  # anchor mismatch
-    with pytest.raises(PreconditionError):
-        extend_hub_join_value(19, 4, 3, 115, 18)  # shrinking host
-    with pytest.raises(PreconditionError):
-        extend_hub_join_value(11, 4, 3, 55, 12)  # anchor below 4p
-
-
 @given(st.integers(min_value=19, max_value=80))
 def test_extension_agrees_with_direct_formula(n):
-    got = extend_hub_join_value(19, 4, 3, 115, n)
-    assert got.value == ex_4_cliques(n, 3).value
+    assert hub_join_edges(4, n, 3) == ex_4_cliques(n, 3).value
 
 
 # -- dispatch --------------------------------------------------------------------

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from turanpack import (Graph, PreconditionError, SizeGuardError, VertexSet,
-                       complement,
-                       complete_graph, components, clique_component_sizes,
+                       clique_union_profile, complement, complete_graph, components,
                        cross_edge_count, disjoint_union, empty_graph,
                        from_edge_list, from_edge_list_text, from_graph6,
-                       induced_subgraph, join, to_edge_list_text, to_graph6)
+                       join, to_edge_list_text, to_graph6)
 from turanpack.codec import _decode_size, _encode_size, parse_graph_text
 from turanpack.graphs import MAX_EDGE_LIST_N, bits, mask_of
 
@@ -48,8 +47,6 @@ def test_vertex_set_basics():
     assert len(vs) == 3
     assert 3 in vs and 2 not in vs
     assert list(vs) == [1, 3, 5]
-    assert vs.isdisjoint(VertexSet.from_members(8, [0, 2]))
-    assert not vs.isdisjoint(VertexSet.from_members(8, [3]))
 
 
 def test_vertex_set_rejects_out_of_range():
@@ -112,19 +109,12 @@ def test_join_puts_first_graph_first():
     assert not g.has_edge(2, 3)
 
 
-def test_induced_subgraph_keeps_order():
-    g = cycle(5)
-    h = induced_subgraph(g, [0, 1, 2, 3])
-    assert h.n == 4
-    assert sorted(h.edges()) == [(0, 1), (1, 2), (2, 3)]
-
-
 def test_components_and_clique_profile():
     g = disjoint_union(complete_graph(3), complete_graph(2), empty_graph(2))
     comps = components(g)
     assert [c.bit_count() for c in comps] == [3, 2, 1, 1]
-    assert clique_component_sizes(g) == [3, 2, 1, 1]
-    assert clique_component_sizes(cycle(4)) is None
+    assert clique_union_profile(g) == ([0b0000111, 0b0011000], 0b1100000)
+    assert clique_union_profile(cycle(4)) is None
 
 
 # -- graph6 --------------------------------------------------------------------

@@ -6,14 +6,19 @@ from pathlib import Path
 import pytest
 
 from turanpack import (PreconditionError, SizeGuardError, SoundnessAlarm,
-                       binom2, exhaustive_ex, exhaustive_ex_sizes,
-                       from_edge_list, naive_contains_clique_union,
-                       naive_disjoint_independent_sets,
+                       binom2, complement, exhaustive_ex, exhaustive_ex_sizes,
+                       from_edge_list, naive_disjoint_independent_sets,
                        naive_independent_sets, to_graph6, union_of_cliques,
                        verify_witness)
 from turanpack.oracle import _blocker_within, _placement_masks
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.txt"
+
+
+def has_disjoint_cliques(g, k, p):
+    """Whether g holds k vertex-disjoint p-cliques, by the naive packing
+    search on the complement."""
+    return naive_disjoint_independent_sets(complement(g), k, p) is not None
 
 
 def reference_ex(n, sizes):
@@ -99,7 +104,7 @@ def test_matches_reference_on_tiny_hosts():
         for k, p in [(1, 2), (1, 3), (2, 2)]:
             if k * p <= n:
                 extremal = exhaustive_ex(n, k, p)[1]
-                assert naive_contains_clique_union(extremal, k, p) is False
+                assert has_disjoint_cliques(extremal, k, p) is False
 
 
 def test_oracle_matches_the_golden_file():
@@ -150,7 +155,7 @@ def test_spec_level_values():
 def test_extremal_graph_is_pattern_free_but_saturated():
     value, extremal = exhaustive_ex(6, 2, 3)
     assert value == 12
-    assert naive_contains_clique_union(extremal, 2, 3) is False
+    assert has_disjoint_cliques(extremal, 2, 3) is False
     # adding any missing edge must create the pattern
     present = set(extremal.edges())
     for u in range(6):
@@ -158,7 +163,7 @@ def test_extremal_graph_is_pattern_free_but_saturated():
             if (u, v) in present:
                 continue
             bigger = from_edge_list(6, list(present | {(u, v)}))
-            assert naive_contains_clique_union(bigger, 2, 3), (u, v)
+            assert has_disjoint_cliques(bigger, 2, 3), (u, v)
 
 
 def test_unavoidable_pattern_is_an_error():
@@ -172,6 +177,14 @@ def test_no_placement_branch_returns_complete_graph():
     value, extremal = exhaustive_ex(4, 2, 3)  # 2K3 cannot fit in 4 vertices
     assert value == binom2(4)
     assert extremal.edge_count() == binom2(4)
+
+
+def test_huge_clique_count_is_answered_before_its_size_tuple():
+    # a k far past the host is answered without building its size tuple
+    value, extremal = exhaustive_ex(3, 99999999999, 1)
+    assert value == binom2(3) and extremal.edge_count() == binom2(3)
+    with pytest.raises(SizeGuardError, match="n=8"):
+        exhaustive_ex(8, 99999999999, 1)
 
 
 def test_placement_masks():
@@ -203,5 +216,5 @@ def test_naive_searches():
     assert w is not None
     assert verify_witness(g, w, 3, 2).ok
     assert naive_disjoint_independent_sets(g, 4, 2) is None
-    assert naive_contains_clique_union(g, 2, 3) is True
-    assert naive_contains_clique_union(g, 3, 3) is False
+    assert has_disjoint_cliques(g, 2, 3) is True
+    assert has_disjoint_cliques(g, 3, 3) is False

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from turanpack import (PreconditionError, binom2, is_rigid_small_clique_union,
-                       probe_dichotomy, probe_value_sweep,
-                       random_bounded_graph, rigid_clique_union,
-                       union_of_cliques)
+from turanpack import (PreconditionError, binom2, probe_dichotomy, probe_value_sweep,
+                       random_bounded_graph, rigid_clique_union, union_of_cliques)
+from turanpack.graphs import rigid_clique_profile
 
 
 def test_sampler_exact_edges_and_degree_cap():
@@ -35,21 +34,17 @@ def test_sampler_rejects_infeasible_demands():
 
 
 def test_rigid_detector():
-    assert is_rigid_small_clique_union(rigid_clique_union(4, 3, 3), 4, 3)
-    assert is_rigid_small_clique_union(union_of_cliques([7, 7], 0), 4, 6)
+    def rigid(g, k, s):
+        return rigid_clique_profile(g, k, s) is not None
+
+    assert rigid(rigid_clique_union(4, 3, 3), 4, 3)
+    assert rigid(union_of_cliques([7, 7], 0), 4, 6)
     # wrong offset, wrong clique size, missing edges
-    assert not is_rigid_small_clique_union(union_of_cliques([7], 7), 4, 4)
-    assert not is_rigid_small_clique_union(union_of_cliques([8], 6), 4, 3)
-    assert not is_rigid_small_clique_union(union_of_cliques([7], 7), 4, 2)
-    assert not is_rigid_small_clique_union(union_of_cliques([6, 6], 2), 4, 3)
-
-
-def test_rigid_detector_refuses_k_below_two():
-    # k - 1 divides s, so k = 1 once divided by zero
-    for k in (1, 0, -1):
-        with pytest.raises(PreconditionError, match="k >= 2"):
-            is_rigid_small_clique_union(union_of_cliques([3], 2), k, 3)
-    assert is_rigid_small_clique_union(union_of_cliques([3], 2), 2, 1)
+    assert not rigid(union_of_cliques([7], 7), 4, 4)
+    assert not rigid(union_of_cliques([8], 6), 4, 3)
+    assert not rigid(union_of_cliques([7], 7), 4, 2)
+    assert not rigid(union_of_cliques([6, 6], 2), 4, 3)
+    assert rigid(union_of_cliques([3], 2), 2, 1)
 
 
 def test_dichotomy_probe_k4():

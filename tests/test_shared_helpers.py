@@ -5,10 +5,9 @@ over the class digraph."""
 
 from hypothesis import example, given, strategies as st
 
-from turanpack import (build_aux_digraph, certify_k7_structure, clique_component_sizes,
-                       clique_union_profile, from_edge_list, init_partition,
-                       is_rigid_small_clique_union, union_of_cliques)
-from turanpack.graphs import is_clique_union
+from turanpack import (build_aux_digraph, certify_k7_structure, clique_union_profile,
+                       from_edge_list, init_partition, union_of_cliques)
+from turanpack.graphs import is_clique_union, rigid_clique_profile
 from turanpack.packing import _degree_order, _greedy_attempt, _greedy_fill
 from turanpack.shifting import CLASS_COUNT, accessible_path
 
@@ -158,11 +157,6 @@ def test_clique_union_profile_matches_a_component_scan(g):
     expected = reference_profile(g)
     assert clique_union_profile(g) == expected
     assert is_clique_union(g) == (expected is not None)
-    if expected is None:
-        assert clique_component_sizes(g) is None
-    else:
-        sizes = [len(c) for c in reference_components(g)]
-        assert clique_component_sizes(g) == sorted(sizes, reverse=True)
 
 
 @given(near_clique_unions(choices=(1, 1, 7, 8)))
@@ -189,7 +183,7 @@ def test_rigid_small_clique_union_matches_its_definition(g):
             expected = (s >= 1 and s % (k - 1) == 0
                         and reference_rigid(g, 2 * k - 1, s // (k - 1))
                         and g.edge_count() == (2 * k - 1) * s)
-            assert is_rigid_small_clique_union(g, k, s) == expected
+            assert (rigid_clique_profile(g, k, s) is not None) == expected
 
 
 # -- greedy fill ------------------------------------------------------------------

@@ -4,15 +4,12 @@ import random
 
 import pytest
 
-from turanpack import (AuxDigraph, EngineTrace, PackingWitness,
-                       PartitionState, PreconditionError,
-                       StructureCertificate, accessible_path, apply_shift,
-                       build_aux_digraph, certify_k7_structure,
-                       check_blocked_domination, check_preconditions,
-                       clique_component_sizes, from_edge_list, from_graph6,
-                       init_partition, naive_disjoint_independent_sets,
-                       propose_moves, resolve, shifting, solo_neighbor,
-                       union_of_cliques, verify_certificate, verify_witness)
+from turanpack import (EngineTrace, PackingWitness, PartitionState, PreconditionError,
+                       StructureCertificate, accessible_path, build_aux_digraph,
+                       certify_k7_structure, check_preconditions, clique_union_profile,
+                       from_edge_list, from_graph6, init_partition,
+                       naive_disjoint_independent_sets, propose_moves, resolve, shifting,
+                       solo_neighbor, union_of_cliques, verify_certificate, verify_witness)
 from turanpack.graphs import is_clique_union
 from turanpack.shifting import _relocate, iter_moves
 
@@ -69,8 +66,6 @@ def double_solo_state():
 def test_state_validation():
     st = double_solo_state()
     assert st.destination == 4
-    assert st.class_of(11) == 0
-    assert st.class_of(9) == 4
     assert st.witness() is None
     with pytest.raises(PreconditionError, match="five classes"):
         PartitionState(st.graph, 3, st.classes[:4])
@@ -162,34 +157,17 @@ def test_solo_neighbor():
         solo_neighbor(st, 11, 9)
 
 
-def test_apply_shift():
+def test_relocate_checks_each_step():
     st = double_solo_state()
-    shifted = apply_shift(st, (1, 4), (0,))
-    assert shifted.classes[4] == st.classes[4] | 1
-    assert shifted.destination == 1
-    with pytest.raises(PreconditionError, match="not in class"):
-        apply_shift(st, (1, 4), (3,))
-    with pytest.raises(PreconditionError, match="has neighbors"):
-        apply_shift(st, (2, 4), (3,))  # 3 is adjacent to 9
-    with pytest.raises(PreconditionError, match="distinct"):
-        apply_shift(st, (1, 4, 1), (0, 0))
-    with pytest.raises(PreconditionError, match="one mover per"):
-        apply_shift(st, (1, 4), (0, 1))
-    # class 0 is checked as a target too: 2 is adjacent to 11 and 12
-    with pytest.raises(PreconditionError, match="mover 2 has neighbors in class 0"):
-        apply_shift(st, (1, 0, 4), (2, 2))
-    through_zero = apply_shift(st, (1, 0, 4), (0, 0))
-    assert through_zero.classes == apply_shift(st, (1, 4), (0,)).classes
-
-
-def test_blocked_domination():
-    st = double_solo_state()
-    aux = build_aux_digraph(st)
-    assert check_blocked_domination(st, aux)
-    # falsely marking class 2 accessible breaks domination: leftover
-    # vertices have no neighbors inside class 2
-    corrupt = AuxDigraph(aux.arcs, aux.destination, {**aux.hops, 2: 4})
-    assert not check_blocked_domination(st, corrupt)
+    with pytest.raises(PreconditionError, match="mover 3 is not in class 1"):
+        _relocate(st, ((3, 1, 4),))
+    with pytest.raises(PreconditionError, match="mover 3 has neighbors in class 4"):
+        _relocate(st, ((3, 2, 4),))  # 3 is adjacent to 9
+    # class 0 need not be independent, so it is exempt as a target: 2 moves
+    # there beside its neighbors 11 and 12
+    shifted = _relocate(st, ((2, 1, 0), (11, 0, 1)))
+    assert shifted.classes[0] == st.classes[0] ^ (1 << 2 | 1 << 11)
+    assert shifted.classes[1] == st.classes[1] ^ (1 << 2 | 1 << 11)
 
 
 def test_double_solo_distinct_mover():
@@ -297,7 +275,7 @@ def test_clique_union_check_agrees_with_component_scan():
     assert any(is_clique_union(g) for g in hosts[5:])
     assert not all(is_clique_union(g) for g in hosts[5:])
     for g in hosts:
-        assert is_clique_union(g) == (clique_component_sizes(g) is not None)
+        assert is_clique_union(g) == (clique_union_profile(g) is not None)
 
 
 def test_certify_k7_structure():

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -33,11 +32,8 @@ if TYPE_CHECKING:
     from .formulas import FormulaQuery
     from .graphs import Graph
 
-ENV_GUARD = "TURANPACK_GUARD_N"
 DEFAULT_SEED = 0
 FORMATS = ("json", "csv", "graph6")
-CONFIG_INT_KEYS = ("seed", "guard_n", "budget")
-CONFIG_KEYS = (*CONFIG_INT_KEYS, "format")
 
 CLOSED_FORM_NOTE = (
     "value is the hub-join count 3+3(n-3)+t(n-3,p-1); the variant closed "
@@ -47,22 +43,7 @@ TABLE_COLUMNS = ("pattern", "n", "p", "value", "regime", "construction",
                  "note", "verified")
 
 
-class Settings(NamedTuple):
-    seed: int | None
-    guard_n: int | None
-    budget: int | None
-    fmt: str
-    verify: bool
-    timing: bool
-
-
 # -- parameter plumbing --------------------------------------------------------
-
-
-def _coerce(raw: str) -> Any:
-    if re.fullmatch(r"-?\d+", raw):
-        return int(raw)
-    return raw
 
 
 def parse_kv(tokens: list[str]) -> dict[str, Any]:
@@ -73,7 +54,7 @@ def parse_kv(tokens: list[str]) -> dict[str, Any]:
             raise PreconditionError(f"expected key=value, got {tok!r}")
         if key in params:
             raise PreconditionError(f"parameter {key} is given more than once")
-        params[key] = _coerce(raw)
+        params[key] = int(raw) if re.fullmatch(r"-?\d+", raw) else raw
     return params
 
 
@@ -95,67 +76,6 @@ def parse_span(value: Any, name: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def load_config(path: str) -> dict[str, Any]:
-    config: dict[str, Any] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, raw = line.partition("=")
-            if not sep:
-                raise PreconditionError(f"config line must be key=value: {line!r}")
-            key = key.strip()
-            if key in config:
-                raise PreconditionError(f"config key {key} is given more than once")
-            config[key] = _coerce(raw.strip())
-    extra = set(config) - set(CONFIG_KEYS)
-    if extra:
-        raise PreconditionError(f"unknown config keys: {', '.join(sorted(extra))}")
-    check_params("config", config, optional=CONFIG_KEYS, ints=CONFIG_INT_KEYS)
-    if config.get("format", "json") not in FORMATS:
-        raise PreconditionError(
-            f"config format must be one of {', '.join(FORMATS)}, got {config['format']!r}")
-    return config
-
-
-def resolve_settings(args: argparse.Namespace) -> Settings:
-    """Merge the subcommand's flags, the environment and its config file.
-
-    A config key stands in for the flag of the same name, so a subcommand
-    without that flag refuses the key rather than ignore it. seed stays
-    None unless a flag or the config gives one.
-    """
-    config = load_config(args.config) if args.config else {}
-    for key in config:
-        flag = "--" + key.replace("_", "-")
-        if flag not in COMMANDS[args.command].flags:
-            raise PreconditionError(
-                f"{args.command} takes no {flag}, so its --config may not set {key}")
-    flags = vars(args)  # holds only the flags of the subcommand
-
-    def pick(*values):
-        for value in values:
-            if value is not None:
-                return value
-        return None
-
-    env_guard = os.environ.get(ENV_GUARD)
-    if env_guard is not None:
-        try:
-            env_guard = int(env_guard)
-        except ValueError:
-            raise PreconditionError(f"{ENV_GUARD} must be an integer, got {env_guard!r}")
-    return Settings(
-        seed=pick(flags.get("seed"), config.get("seed")),
-        guard_n=pick(flags.get("guard_n"), env_guard, config.get("guard_n")),
-        budget=pick(flags.get("budget"), config.get("budget")),
-        fmt=pick(flags.get("format"), config.get("format"), "json"),
-        verify=flags.get("verify", False),
-        timing=args.timing,
-    )
-
-
 def read_graph(args: argparse.Namespace) -> Graph:
     from .codec import parse_graph_text
 
@@ -169,8 +89,8 @@ def read_graph(args: argparse.Namespace) -> Graph:
     return parse_graph_text(text)
 
 
-def emit(record: ResultRecord, settings: Settings, started: float) -> None:
-    if settings.timing:
+def emit(record: ResultRecord, args: argparse.Namespace, started: float) -> None:
+    if args.timing:
         stamp(record, started)
     print(record.to_json_line())
 
@@ -192,7 +112,7 @@ def _query_from(pattern: str, params: dict[str, Any]) -> FormulaQuery:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_formula(args, settings: Settings, started: float) -> int:
+def cmd_formula(args, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: formula <pattern> key=value ...")
     from .formulas import dispatch_formula
@@ -207,12 +127,12 @@ def cmd_formula(args, settings: Settings, started: float) -> int:
         payload={"value": value.value, "regime": value.regime,
                  "construction": _ref_dict(value.construction)},
     )
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
 def _table_rows(pattern: str, params: dict[str, Any],
-                settings: Settings) -> list[dict[str, Any]]:
+                args: argparse.Namespace) -> list[dict[str, Any]]:
     from .formulas import REGIME_HUB_JOIN, binom2, dispatch_formula, lookup_pattern
     from .graphs import MAX_EDGE_LIST_N
 
@@ -239,7 +159,7 @@ def _table_rows(pattern: str, params: dict[str, Any],
             if pattern == "4Kp" and value.regime == REGIME_HUB_JOIN:
                 note = CLOSED_FORM_NOTE
             verified = ""
-            if settings.verify and value.construction is not None:
+            if args.verify and value.construction is not None:
                 from .constructions import build_ref, claim_holds
 
                 built, desc = build_ref(value.construction)
@@ -247,7 +167,7 @@ def _table_rows(pattern: str, params: dict[str, Any],
                     raise SoundnessAlarm(
                         f"complement edge count of {desc.family} disagrees "
                         f"with the formula value at n={n}, p={p}")
-                if claim_holds(built, desc, guard_n=settings.guard_n) is False:
+                if claim_holds(built, desc, guard_n=args.guard_n) is False:
                     raise SoundnessAlarm(
                         f"construction {desc.family} fails its freeness "
                         f"claim at n={n}, p={p}")
@@ -265,13 +185,13 @@ def _table_rows(pattern: str, params: dict[str, Any],
     return rows
 
 
-def cmd_table(args, settings: Settings, started: float) -> int:
+def cmd_table(args, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: table <pattern> n=a:b p=c[:d] ...")
     pattern = args.tokens[0]
     params = parse_kv(args.tokens[1:])
-    rows = _table_rows(pattern, params, settings)
-    if settings.fmt == "csv":
+    rows = _table_rows(pattern, params, args)
+    if args.format == "csv":
         import csv
         import io
 
@@ -281,7 +201,7 @@ def cmd_table(args, settings: Settings, started: float) -> int:
         writer.writerows(rows)
         sys.stdout.write(out.getvalue())
         return 0
-    if settings.fmt != "json":
+    if args.format != "json":
         raise PreconditionError("table renders as json or csv")
     record = ResultRecord(
         command="table",
@@ -289,11 +209,11 @@ def cmd_table(args, settings: Settings, started: float) -> int:
         outcome="value",
         payload={"rows": rows},
     )
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
-def cmd_construct(args, settings: Settings, started: float) -> int:
+def cmd_construct(args, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: construct <family> key=value ...")
     from .codec import to_graph6
@@ -306,35 +226,35 @@ def cmd_construct(args, settings: Settings, started: float) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    if settings.fmt == "graph6":
+    if args.format == "graph6":
         print(text)
         return 0
-    if settings.fmt != "json":
+    if args.format != "json":
         raise PreconditionError("construct renders as json or graph6")
     payload = {
         **graph_payload(g),
         "descriptor": {**desc._asdict(), "claim": list(desc.claim) if desc.claim else None},
     }
-    if settings.verify:
-        payload["claim_verified"] = claim_holds(g, desc, guard_n=settings.guard_n)
+    if args.verify:
+        payload["claim_verified"] = claim_holds(g, desc, guard_n=args.guard_n)
     record = ResultRecord(
         command="construct",
         parameters={"family": family, **params},
         outcome="value",
         payload=payload,
     )
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
-def cmd_resolve(args, settings: Settings, started: float) -> int:
+def cmd_resolve(args, started: float) -> int:
     from .codec import to_graph6
     from .packing import PackingWitness
     from .shifting import resolve
 
     p = args.params["p"]
     g = read_graph(args)
-    outcome = resolve(g, p, budget=settings.budget, guard_n=settings.guard_n)
+    outcome = resolve(g, p, budget=args.budget, guard_n=args.guard_n)
     # resolve re-verifies both outcome kinds before returning.
     parameters = {"p": p, "graph6": to_graph6(g)}
     if isinstance(outcome, PackingWitness):
@@ -343,11 +263,11 @@ def cmd_resolve(args, settings: Settings, started: float) -> int:
     else:
         record = ResultRecord("resolve", parameters, "certificate",
                               certificate_payload(outcome))
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
-def cmd_pack(args, settings: Settings, started: float) -> int:
+def cmd_pack(args, started: float) -> int:
     from .codec import to_graph6
     from .packing import (find_clique_packing, find_disjoint_independent_sets,
                           verify_witness)
@@ -359,9 +279,9 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
     g = read_graph(args)
     k, p = params["k"], params["p"]
     if mode == "independent":
-        witness = find_disjoint_independent_sets(g, k, p, guard_n=settings.guard_n)
+        witness = find_disjoint_independent_sets(g, k, p, guard_n=args.guard_n)
     else:
-        witness = find_clique_packing(g, k, p, guard_n=settings.guard_n)
+        witness = find_clique_packing(g, k, p, guard_n=args.guard_n)
     parameters = {"k": k, "p": p, "mode": mode, "graph6": to_graph6(g)}
     if witness is None:
         record = ResultRecord("pack", parameters, "none", {})
@@ -370,7 +290,7 @@ def cmd_pack(args, settings: Settings, started: float) -> int:
         if not report.ok:
             raise SoundnessAlarm(f"pack witness failed verification: {report.violation}")
         record = ResultRecord("pack", parameters, "witness", witness_payload(witness))
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
@@ -410,8 +330,8 @@ def _verify_one(obj: Any) -> tuple[bool | None, str]:
     its branch reads raises PreconditionError."""
     from .codec import parse_graph_text, to_graph6
     from .constructions import build_family
-    from .graphs import VertexSet, cross_edge_count
-    from .packing import (EquitableColoring, PackingWitness, biclique_violation,
+    from .graphs import VertexSet
+    from .packing import (EquitableColoring, PackingWitness, verify_biclique,
                           verify_equitable_coloring, verify_witness)
     from .shifting import StructureCertificate, verify_certificate
 
@@ -470,18 +390,10 @@ def _verify_one(obj: Any) -> tuple[bool | None, str]:
         r = recorded("r", "an integer")
         if r != classes:
             return False, f"payload has r={r}, parameters say {classes} classes"
-        violation = biclique_violation(g, r)
-        if violation is not None:
-            return False, violation
         sides = [VertexSet.from_members(g.n, members)
                  for members in recorded("biclique", "a list of integer lists")]
-        if len(sides) != 2 or any(len(side) != r for side in sides):
-            return False, f"biclique is not two sides of {r} vertices"
-        if sides[0].mask & sides[1].mask:
-            return False, "biclique sides overlap"
-        if cross_edge_count(g, *sides) != r * r:
-            return False, f"biclique lacks some of its {r * r} cross edges"
-        return True, "certificate checks out"
+        report = verify_biclique(g, sides, r)
+        return report.ok, report.violation or "certificate checks out"
     if command == "construct" and outcome == "value":
         family = param("family", "a string")
         graph6 = recorded("graph6", "a string")
@@ -496,7 +408,7 @@ def _verify_one(obj: Any) -> tuple[bool | None, str]:
     return None, "record carries no verifiable payload"
 
 
-def cmd_verify(args, settings: Settings, started: float) -> int:
+def cmd_verify(args, started: float) -> int:
     if not args.record:
         raise PreconditionError("verify needs --record <path|->")
     if args.record == "-":
@@ -522,11 +434,11 @@ def cmd_verify(args, settings: Settings, started: float) -> int:
             outcome="value",
             payload={"verified": verified, "detail": detail},
         )
-        emit(record, settings, started)
+        emit(record, args, started)
     return 2 if failures else 0
 
 
-def cmd_oracle(args, settings: Settings, started: float) -> int:
+def cmd_oracle(args, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: oracle <pattern> n=<int> [k=..] [p=..] [q=..]")
     from .formulas import FormulaQuery, lookup_pattern, pattern_cliques
@@ -550,7 +462,7 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
     else:
         sizes = pattern_cliques(FormulaQuery(pattern, **params))
     value, extremal = exhaustive_ex_sizes(params["n"], sizes,
-                                          guard=settings.guard_n)
+                                          guard=args.guard_n)
     record = ResultRecord(
         command="oracle",
         parameters={"pattern": pattern, **params},
@@ -558,11 +470,11 @@ def cmd_oracle(args, settings: Settings, started: float) -> int:
         payload={"value": value, "sizes": list(sizes),
                  "extremal": graph_payload(extremal)},
     )
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
-def cmd_probe(args, settings: Settings, started: float) -> int:
+def cmd_probe(args, started: float) -> int:
     if not args.tokens:
         raise PreconditionError("usage: probe <5.1|5.2> k=<int> p=<int> ...")
     from .probes import probe_dichotomy, probe_value_sweep
@@ -574,11 +486,11 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
     check_params("probe", params, required=("k", "p"),
                  optional=("trials",) if which == "5.1" else ("window",))
     if which == "5.1":
-        seed = DEFAULT_SEED if settings.seed is None else settings.seed
+        seed = DEFAULT_SEED if args.seed is None else args.seed
         report = probe_dichotomy(params["k"], params["p"],
                                  trials=params.get("trials", 200),
                                  seed=seed,
-                                 guard_n=settings.guard_n)
+                                 guard_n=args.guard_n)
         payload = {
             "k": report.k, "p": report.p, "trials": report.trials,
             "witnessed": report.witnessed, "rigid": report.rigid,
@@ -592,12 +504,11 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
         record = ResultRecord("probe", {"which": which, **params}, outcome,
                               payload, seed=seed)
     else:
-        if settings.seed is not None:
-            where = "--seed" if args.seed is not None else "config seed"
-            raise PreconditionError(f"probe 5.2 draws nothing at random; it takes no {where}")
+        if args.seed is not None:
+            raise PreconditionError("probe 5.2 draws nothing at random; it takes no --seed")
         report = probe_value_sweep(params["k"], params["p"],
                                    window=params.get("window"),
-                                   guard_n=settings.guard_n)
+                                   guard_n=args.guard_n)
         payload = {
             "k": report.k, "p": report.p, "rows": [row._asdict() for row in report.rows],
             "boundary_consistent": report.boundary_consistent,
@@ -607,11 +518,11 @@ def cmd_probe(args, settings: Settings, started: float) -> int:
         }
         outcome = "none" if report.consistent else "counterexample"
         record = ResultRecord("probe", {"which": which, **params}, outcome, payload)
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
-def cmd_color(args, settings: Settings, started: float) -> int:
+def cmd_color(args, started: float) -> int:
     from .codec import to_graph6
     from .packing import equitable_coloring, equitable_coloring_exact
 
@@ -623,7 +534,7 @@ def cmd_color(args, settings: Settings, started: float) -> int:
     parameters = {"classes": classes, "graph6": to_graph6(g)}
     if params.get("exact"):
         parameters["exact"] = 1
-        result = equitable_coloring_exact(g, classes, guard_n=settings.guard_n)
+        result = equitable_coloring_exact(g, classes, guard_n=args.guard_n)
         if result.coloring is not None:
             record = ResultRecord("color", parameters, "witness",
                                   coloring_payload(result.coloring))
@@ -639,34 +550,40 @@ def cmd_color(args, settings: Settings, started: float) -> int:
         coloring = equitable_coloring(g, classes)
         record = ResultRecord("color", parameters, "witness",
                               coloring_payload(coloring))
-    emit(record, settings, started)
+    emit(record, args, started)
     return 0
 
 
 class Command(NamedTuple):
-    """One subcommand: its handler, the flags it reads besides --config and
-    --timing, and the key=value keys it requires (integers) and may take.
-    main checks those keys before the handler runs and hands them over as
+    """One subcommand: its handler, the flags it reads besides --timing,
+    and the key=value keys it requires (integers) and may take. Its flags
+    are the only source of its settings. main checks those keys before the handler runs and hands them over as
     args.params. required None leaves the tokens to the handler, for a
     command whose keys depend on its leading pattern, family or probe."""
 
-    handler: Callable[[argparse.Namespace, Settings, float], int]
+    handler: Callable[[argparse.Namespace, float], int]
     flags: tuple[str, ...]
     required: tuple[str, ...] | None = None
     optional: tuple[str, ...] = ()
+
+
+def _count(raw: str) -> int:
+    """The argparse type of --guard-n and --budget: an integer, 0 or more."""
+    if not re.fullmatch(r"\d+", raw):
+        raise argparse.ArgumentTypeError(f"must be an integer, 0 or more, got {raw!r}")
+    return int(raw)
 
 
 FLAGS = {
     "--input": {"help": "graph file (graph6 or edge list), - for stdin"},
     "--output": {"help": "also write the built graph6 to this path"},
     "--record": {"help": "result-record file to re-verify, - for stdin"},
-    "--format": {"choices": FORMATS},
+    "--format": {"choices": FORMATS, "default": "json"},
     "--seed": {"type": int},
     "--verify": {"action": "store_true",
                  "help": "re-check constructions via exact packing search"},
-    "--guard-n": {"type": int},
-    "--budget": {"type": int},
-    "--config": {"help": "key=value config file"},
+    "--guard-n": {"type": _count},
+    "--budget": {"type": _count},
     "--timing": {"action": "store_true",
                  "help": "fill timestamp/runtime (breaks byte determinism)"},
 }
@@ -693,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         cmd = sub.add_parser(name)
-        for flag in ("--config", "--timing", *command.flags):
+        for flag in ("--timing", *command.flags):
             cmd.add_argument(flag, **FLAGS[flag])
         cmd.add_argument("tokens", nargs="*")
     return parser
@@ -704,12 +621,11 @@ def main(argv: list[str] | None = None) -> int:
     command = COMMANDS[args.command]
     started = time.monotonic()
     try:
-        settings = resolve_settings(args)
         if command.required is not None:
             args.params = parse_kv(args.tokens)
             check_params(args.command, args.params, command.required, command.optional,
                          ints=command.required)
-        return command.handler(args, settings, started)
+        return command.handler(args, started)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,7 +57,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .graphs import (MAX_EDGE_LIST_N, Graph, VertexSet, bits, clique_union_profile,
-                     complement, components)
+                     complement, components, cross_edge_count)
 
 DEFAULT_GUARD_N = 64
 DEFAULT_EXACT_COLORING_GUARD = 20
@@ -700,6 +700,22 @@ def biclique_violation(g: Graph, r: int) -> str | None:
     return None
 
 
+def verify_biclique(g: Graph, sides: Sequence[VertexSet], r: int) -> VerificationReport:
+    """Check a K_(r,r) certificate that g has no equitable r-coloring:
+    `biclique_violation` finds nothing against it, and the sides are two
+    disjoint r-sets joined by all r * r cross edges."""
+    violation = biclique_violation(g, r)
+    if violation is not None:
+        return VerificationReport(False, violation)
+    if len(sides) != 2 or any(len(side) != r for side in sides):
+        return VerificationReport(False, f"biclique is not two sides of {r} vertices")
+    if sides[0].mask & sides[1].mask:
+        return VerificationReport(False, "biclique sides overlap")
+    if cross_edge_count(g, *sides) != r * r:
+        return VerificationReport(False, f"biclique lacks some of its {r * r} cross edges")
+    return VerificationReport(True)
+
+
 def _find_biclique(g: Graph, r: int) -> tuple[VertexSet, VertexSet] | None:
     """First K_(r,r) subgraph (two disjoint r-sets, all cross edges)."""
     from itertools import combinations
@@ -720,7 +736,8 @@ def equitable_coloring_exact(g: Graph, r: int,
     """Exactly decide whether an equitable r-coloring exists: the tight
     search for classes of sizes ceil(n/r) and floor(n/r), padded with empty
     classes when r > n. When none exists and `biclique_violation` finds
-    nothing against it, a K_(r,r) subgraph certificate is attached."""
+    nothing against it, a K_(r,r) subgraph certificate is attached, once
+    `verify_biclique` has checked it."""
     if r < 1:
         raise PreconditionError("need at least one class")
     if r > MAX_EDGE_LIST_N:
@@ -740,4 +757,9 @@ def equitable_coloring_exact(g: Graph, r: int,
         return ExactColoringResult(coloring)
     if biclique_violation(g, r) is not None:
         return ExactColoringResult(None)
-    return ExactColoringResult(None, _find_biclique(g, r))
+    sides = _find_biclique(g, r)
+    if sides is not None:
+        report = verify_biclique(g, sides, r)
+        if not report.ok:
+            raise SoundnessAlarm(f"biclique certificate failed verification: {report.violation}")
+    return ExactColoringResult(None, sides)

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from turanpack import (complete_graph, disjoint_union, from_edge_list, to_edge_list_text,
                        to_graph6, union_of_cliques)
 
@@ -383,20 +385,85 @@ def test_oracle_values_and_guard(run_cli):
 
 
 def test_oracle_guard_settings(run_cli, monkeypatch, tmp_path):
-    monkeypatch.setenv("TURANPACK_GUARD_N", "5")
-    code, _ = run_cli(["oracle", "K3", "n=6"])
-    assert code == 3
-    monkeypatch.delenv("TURANPACK_GUARD_N")
-
-    config = tmp_path / "turanpack.conf"
-    config.write_text("guard_n = 5\n# comment\n")
-    code, _ = run_cli(["oracle", "K3", "n=6", "--config", str(config)])
-    assert code == 3
-    # explicit flag wins over the config file
-    code, out = run_cli(["oracle", "K3", "n=6", "--config", str(config),
-                         "--guard-n", "7"])
+    code, out = run_cli(["oracle", "K3", "n=6", "--guard-n", "7"])
     assert code == 0
     assert record_of(out)["payload"]["value"] == 9
+    # The guard has one source, its flag: the environment variable and the
+    # config file that once set it are not read.
+    monkeypatch.setenv("TURANPACK_GUARD_N", "5")
+    code, out = run_cli(["oracle", "K3", "n=6"])
+    assert code == 0
+    assert record_of(out)["payload"]["value"] == 9
+    config = tmp_path / "turanpack.conf"
+    config.write_text("guard_n = 5\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        run_cli(["oracle", "K3", "n=6", "--config", str(config)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in err.getvalue()
+
+
+def test_every_guard_flag_is_read(run_cli):
+    # Each subcommand that declares --guard-n hands it to its search.
+    k12 = "KO@?@@??D?_?\n"
+    for argv, stdin in [
+            (["pack", "k=2", "p=3", "--input", "-", "--guard-n", "4"], k12),
+            (["oracle", "K3", "n=6", "--guard-n", "5"], None),
+            (["color", "classes=3", "exact=1", "--input", "-", "--guard-n", "5"], "EFz_\n"),
+            (["table", "4Kp", "p=3", "n=16", "--verify", "--guard-n", "5"], None),
+            (["construct", "G4", "p=3", "--verify", "--guard-n", "5"], None),
+            (["resolve", "p=3", "--budget", "0", "--input", "-", "--guard-n", "5"], k12)]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(argv, stdin=stdin)
+        assert code == 3 and out == "", (argv, err.getvalue())
+        assert err.getvalue().startswith("size guard: "), argv
+    # probe 5.1 skips the sampled hosts above the guard and counts them.
+    skipped = {}
+    for guard in ("0", "64"):
+        code, out = run_cli(["probe", "5.1", "k=2", "p=3", "trials=20", "--guard-n", guard])
+        assert code == 0
+        skipped[guard] = record_of(out)["payload"]["skipped"]
+    assert skipped["0"] > skipped["64"] == 0
+
+
+def test_negative_guard_and_budget_exit_2(run_cli):
+    # resolve --budget -5 once ran zero moves, and pack --guard-n -4 exited 3
+    # with "n=12 > -4"; argparse now refuses both.
+    k12 = "KO@?@@??D?_?\n"
+    for argv, message in [
+            (["resolve", "p=3", "--input", "-", "--budget", "-5"],
+             "argument --budget: must be an integer, 0 or more, got '-5'"),
+            (["pack", "k=2", "p=3", "--input", "-", "--guard-n", "-4"],
+             "argument --guard-n: must be an integer, 0 or more, got '-4'"),
+            (["oracle", "K3", "n=6", "--guard-n", "abc"],
+             "argument --guard-n: must be an integer, 0 or more, got 'abc'")]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            run_cli(argv, stdin=k12)
+        assert exc.value.code == 2, argv
+        assert message in err.getvalue(), (argv, err.getvalue())
+    # 0 stays valid for both.
+    code, out = run_cli(["resolve", "p=3", "--input", "-", "--budget", "0", "--guard-n", "20"],
+                        stdin=k12)
+    assert code == 0 and record_of(out)["outcome"] == "witness"
+    code, out = run_cli(["pack", "k=2", "p=3", "--input", "-", "--guard-n", "0"],
+                        stdin="6\n0 1\n")
+    assert code == 0 and record_of(out)["outcome"] == "witness"
+
+
+def test_color_certificate_is_checked_before_printing(run_cli, monkeypatch):
+    # A color exact=1 certificate was once printed without any check.
+    from turanpack import VertexSet, packing
+
+    monkeypatch.setattr(packing, "_find_biclique", lambda g, r: (
+        VertexSet.from_members(g.n, [0, 1, 3]), VertexSet.from_members(g.n, [2, 4, 5])))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["color", "classes=3", "exact=1", "--input", "-"], stdin="EFz_\n")
+    assert code == 4 and out == ""
+    assert err.getvalue() == ("soundness alarm: biclique certificate failed verification: "
+                              "biclique lacks some of its 9 cross edges\n")
 
 
 def test_color_constructive_and_exact(run_cli):
@@ -524,71 +591,6 @@ def test_non_integer_or_negative_parameters_exit_2(run_cli):
         assert out == "" and message in err.getvalue(), (argv, err.getvalue())
 
 
-def test_config_values_are_checked(run_cli, tmp_path):
-    # guard_n and budget once escaped as TypeError tracebacks (exit 1), a
-    # misspelt key was silently ignored and a repeated key silently took its
-    # last value
-    config = tmp_path / "turanpack.conf"
-    host_text = "12\n0 1\n1 2\n"
-    for text, argv, message in [
-            ("guard_n = abc\n", ["pack", "k=2", "p=2", "--input", "-"],
-             "config needs integer parameters: guard_n"),
-            ("budget = abc\n", ["resolve", "p=3", "--input", "-"],
-             "config needs integer parameters: budget"),
-            ("seed = 1.5\n", ["probe", "5.1", "k=2", "p=3", "trials=1"],
-             "config needs integer parameters: seed"),
-            ("format = xml\n", ["table", "4Kp", "p=3", "n=12:13"],
-             "config format must be one of json, csv, graph6, got 'xml'"),
-            ("gaurd_n = 3\n", ["oracle", "K3", "n=6"], "unknown config keys: gaurd_n"),
-            ("guard_n = 3\nguard_n = 64\n", ["pack", "k=2", "p=3", "--input", "-"],
-             "config key guard_n is given more than once")]:
-        config.write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code, out = run_cli([*argv, "--config", str(config)], stdin=host_text)
-        assert code == 2, (text, err.getvalue())
-        assert out == "" and message in err.getvalue(), (text, err.getvalue())
-    # Each valid value is taken by a subcommand that has its flag.
-    config.write_text("guard_n = 20\nformat = csv\n")
-    code, out = run_cli(["table", "4Kp", "p=3", "n=12:13", "--config", str(config)])
-    assert code == 0 and out.startswith("pattern,n,p,value")
-    config.write_text("guard_n = 20\nbudget = 0\n")
-    code, out = run_cli(["resolve", "p=3", "--input", "-", "--config", str(config)],
-                        stdin=host_text)
-    assert code == 0 and record_of(out)["outcome"] == "witness"
-    config.write_text("seed = 3\nguard_n = 20\n")
-    code, out = run_cli(["probe", "5.1", "k=2", "p=3", "trials=1", "--config", str(config)])
-    assert code == 0 and record_of(out)["provenance"]["seed"] == 3
-
-
-def test_config_keys_need_the_subcommands_flag(run_cli, tmp_path):
-    # A config key stands in for its flag. These two once printed JSON and
-    # ran unseeded with exit 0, while the same values as flags exit 2.
-    config = tmp_path / "turanpack.conf"
-    for text, argv, message in [
-            ("format = csv\n", ["formula", "4Kp", "n=16", "p=3"],
-             "error: formula takes no --format, so its --config may not set format\n"),
-            ("seed = 9\n", ["probe", "5.2", "k=4", "p=3"],
-             "error: probe 5.2 draws nothing at random; it takes no config seed\n"),
-            ("seed = 9\n", ["table", "4Kp", "p=3", "n=12"],
-             "error: table takes no --seed, so its --config may not set seed\n"),
-            ("budget = 5\n", ["pack", "k=2", "p=2", "--input", "-"],
-             "error: pack takes no --budget, so its --config may not set budget\n"),
-            ("guard_n = 20\n", ["verify", "--record", "-"],
-             "error: verify takes no --guard-n, so its --config may not set guard_n\n")]:
-        config.write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code, out = run_cli([*argv, "--config", str(config)], stdin=C5_TEXT)
-        assert code == 2, (text, argv)
-        assert out == "" and err.getvalue() == message, (text, argv, err.getvalue())
-    # resolve has --guard-n, so its config may still set guard_n.
-    config.write_text("guard_n = 20\n")
-    code, out = run_cli(["resolve", "p=3", "--input", "-", "--config", str(config)],
-                        stdin="12\n0 1\n1 2\n")
-    assert code == 0 and record_of(out)["outcome"] == "witness"
-
-
 def test_unknown_parameters_exit_2(run_cli):
     # these were recorded in the output but never read
     for argv, message in [
@@ -660,15 +662,15 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     for name, command in cli.COMMANDS.items():
         strings = {string for action in subparsers.choices[name]._actions
                    for string in action.option_strings} - {"-h", "--help"}
-        assert strings == {"--config", "--timing", *command.flags}, name
+        assert strings == {"--timing", *command.flags}, name
         slots[name] = len(strings)
-    assert slots == {"formula": 2, "table": 5, "construct": 6, "resolve": 5, "pack": 4,
-                     "verify": 3, "oracle": 3, "probe": 4, "color": 4}
-    assert sum(slots.values()) == 36
+    assert slots == {"formula": 1, "table": 4, "construct": 5, "resolve": 4, "pack": 3,
+                     "verify": 2, "oracle": 2, "probe": 3, "color": 3}
+    assert sum(slots.values()) == 27
     refused = []
     for name, command in cli.COMMANDS.items():
         for flag, spec in cli.FLAGS.items():
-            if flag in ("--config", "--timing", *command.flags):
+            if flag in ("--timing", *command.flags):
                 continue
             value = [] if spec.get("action") == "store_true" else ["1"]
             err = io.StringIO()
@@ -702,8 +704,7 @@ def test_non_utf8_input_exits_2(run_cli, tmp_path, monkeypatch):
     path = tmp_path / "bin.g6"
     path.write_bytes(NOT_UTF8)
     for argv in (["pack", "k=2", "p=2", "--input", str(path)],
-                 ["verify", "--record", str(path)],
-                 ["formula", "4Kp", "n=16", "p=3", "--config", str(path)]):
+                 ["verify", "--record", str(path)]):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, out = run_cli(argv)

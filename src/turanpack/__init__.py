@@ -12,6 +12,9 @@ from ._version import __version__
 
 # submodule -> the public names it defines
 _EXPORTS = {
+    "check": ("EquitableColoring", "PackingWitness", "StructureCertificate",
+              "VerificationReport", "verify_certificate", "verify_equitable_coloring",
+              "verify_witness"),
     "codec": ("from_graph6", "parse_graph_text", "to_graph6"),
     "constructions": ("ConstructionDescriptor", "build_family", "build_ref",
                       "claim_holds", "hub_join", "near_tight_witness",
@@ -29,17 +32,15 @@ _EXPORTS = {
                "to_edge_list_text"),
     "oracle": ("exhaustive_ex", "exhaustive_ex_sizes", "naive_disjoint_independent_sets",
                "naive_independent_sets"),
-    "packing": ("EquitableColoring", "ExactColoringResult", "PackingWitness",
-                "VerificationReport", "equitable_coloring", "equitable_coloring_exact",
+    "packing": ("ExactColoringResult", "equitable_coloring", "equitable_coloring_exact",
                 "find_clique_packing", "find_disjoint_independent_sets",
-                "independence_number", "verify_equitable_coloring", "verify_witness"),
+                "independence_number"),
     "probes": ("DichotomyProbeReport", "ValueSweepReport", "ValueSweepRow",
                "probe_dichotomy", "probe_value_sweep", "random_bounded_graph"),
     "records": ("RECORD_VERSION", "ResultRecord"),
-    "shifting": ("AuxDigraph", "EngineTrace", "Move", "PartitionState",
-                 "StructureCertificate", "accessible_path", "build_aux_digraph",
-                 "certify_k7_structure", "check_preconditions", "init_partition",
-                 "propose_moves", "resolve", "solo_neighbor", "verify_certificate"),
+    "shifting": ("AuxDigraph", "EngineTrace", "Move", "PartitionState", "accessible_path",
+                 "build_aux_digraph", "certify_k7_structure", "check_preconditions",
+                 "init_partition", "propose_moves", "resolve", "solo_neighbor"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

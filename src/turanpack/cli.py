@@ -23,7 +23,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from ._version import __version__
-from .errors import PreconditionError, SizeGuardError, SoundnessAlarm, check_params, is_int
+from .errors import PreconditionError, SizeGuardError, SoundnessAlarm, check_params
 from .records import (ResultRecord, certificate_payload, coloring_payload,
                       graph_payload, stamp, vertex_set_payload,
                       witness_payload)
@@ -222,12 +222,8 @@ def cmd_construct(args, started: float) -> int:
     family = args.tokens[0]
     params = parse_kv(args.tokens[1:])
     g, desc = build_family(family, params)
-    text = to_graph6(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
     if args.format == "graph6":
-        print(text)
+        print(to_graph6(g))
         return 0
     if args.format != "json":
         raise PreconditionError("construct renders as json or graph6")
@@ -248,8 +244,8 @@ def cmd_construct(args, started: float) -> int:
 
 
 def cmd_resolve(args, started: float) -> int:
+    from .check import PackingWitness
     from .codec import to_graph6
-    from .packing import PackingWitness
     from .shifting import resolve
 
     p = args.params["p"]
@@ -268,9 +264,9 @@ def cmd_resolve(args, started: float) -> int:
 
 
 def cmd_pack(args, started: float) -> int:
+    from .check import verify_witness
     from .codec import to_graph6
-    from .packing import (find_clique_packing, find_disjoint_independent_sets,
-                          verify_witness)
+    from .packing import find_clique_packing, find_disjoint_independent_sets
 
     params = args.params
     mode = params.get("mode", "independent")
@@ -286,131 +282,17 @@ def cmd_pack(args, started: float) -> int:
     if witness is None:
         record = ResultRecord("pack", parameters, "none", {})
     else:
-        report = verify_witness(g, witness, k, p, mode)
-        if not report.ok:
-            raise SoundnessAlarm(f"pack witness failed verification: {report.violation}")
+        verify_witness(g, witness, k, p, mode).require("pack witness failed verification")
         record = ResultRecord("pack", parameters, "witness", witness_payload(witness))
     emit(record, args, started)
     return 0
 
 
-def _is_members(value: Any) -> bool:
-    return isinstance(value, list) and all(is_int(v) for v in value)
-
-
-_SHAPES = {
-    "an integer": is_int,
-    "a string": lambda value: isinstance(value, str),
-    "a list of integers": _is_members,
-    "a list of integer lists": lambda value: (
-        isinstance(value, list) and all(_is_members(v) for v in value)),
-}
-
-
-def _section(obj: dict[str, Any], key: str) -> dict[str, Any]:
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise PreconditionError(f"{key} is not an object")
-    return value
-
-
-def _field(section: dict[str, Any], name: str, key: str, shape: str) -> Any:
-    """section[key], which must be present and have the shape the
-    verifier reads (a key of _SHAPES); name is the section's name."""
-    if key not in section:
-        raise PreconditionError(f"{name} has no {key!r}")
-    value = section[key]
-    if not _SHAPES[shape](value):
-        raise PreconditionError(f"{name}[{key!r}] is not {shape}")
-    return value
-
-
-def _verify_one(obj: Any) -> tuple[bool | None, str]:
-    """Re-check one decoded record; a record whose shape differs from what
-    its branch reads raises PreconditionError."""
-    from .codec import parse_graph_text, to_graph6
-    from .constructions import build_family
-    from .graphs import VertexSet
-    from .packing import (EquitableColoring, PackingWitness, verify_biclique,
-                          verify_equitable_coloring, verify_witness)
-    from .shifting import StructureCertificate, verify_certificate
-
-    if not isinstance(obj, dict):
-        raise PreconditionError("not a JSON object")
-    command = obj.get("command")
-    outcome = obj.get("outcome")
-    parameters = _section(obj, "parameters")
-    payload = _section(obj, "payload")
-
-    def param(key, shape):
-        return _field(parameters, "parameters", key, shape)
-
-    def recorded(key, shape):
-        return _field(payload, "payload", key, shape)
-
-    if outcome == "witness" and command in ("pack", "resolve"):
-        g = parse_graph_text(param("graph6", "a string"))
-        sets = tuple(VertexSet.from_members(g.n, members)
-                     for members in recorded("sets", "a list of integer lists"))
-        witness = PackingWitness(sets)
-        if command == "resolve":
-            k, mode = 4, "independent"
-        else:
-            k, mode = param("k", "an integer"), parameters.get("mode", "independent")
-        p = param("p", "an integer")
-        report = verify_witness(g, witness, k, p, mode)
-        return report.ok, report.violation or "witness checks out"
-    if outcome == "certificate" and command == "resolve":
-        g = parse_graph_text(param("graph6", "a string"))
-        p = param("p", "an integer")
-        cert = StructureCertificate(
-            cliques=tuple(VertexSet.from_members(g.n, members)
-                          for members in recorded("cliques", "a list of integer lists")),
-            isolated=VertexSet.from_members(g.n, recorded("isolated", "a list of integers")),
-            s=recorded("s", "an integer"),
-            edges=recorded("edges", "an integer"),
-            max_degree=recorded("max_degree", "an integer"),
-        )
-        report = verify_certificate(g, cert, p)
-        return report.ok, report.violation or "certificate checks out"
-    if outcome == "witness" and command == "color":
-        g = parse_graph_text(param("graph6", "a string"))
-        classes = param("classes", "an integer")
-        coloring = EquitableColoring(tuple(
-            VertexSet.from_members(g.n, members)
-            for members in recorded("classes", "a list of integer lists")))
-        if len(coloring.classes) != classes:
-            return False, (f"payload has {len(coloring.classes)} classes, "
-                           f"parameters say {classes}")
-        report = verify_equitable_coloring(g, coloring)
-        return report.ok, report.violation or "coloring checks out"
-    if outcome == "certificate" and command == "color":
-        g = parse_graph_text(param("graph6", "a string"))
-        classes = param("classes", "an integer")
-        r = recorded("r", "an integer")
-        if r != classes:
-            return False, f"payload has r={r}, parameters say {classes} classes"
-        sides = [VertexSet.from_members(g.n, members)
-                 for members in recorded("biclique", "a list of integer lists")]
-        report = verify_biclique(g, sides, r)
-        return report.ok, report.violation or "certificate checks out"
-    if command == "construct" and outcome == "value":
-        family = param("family", "a string")
-        graph6 = recorded("graph6", "a string")
-        edges = recorded("edges", "an integer")
-        params = {key: value for key, value in parameters.items() if key != "family"}
-        g, desc = build_family(family, params)
-        if to_graph6(g) != graph6:
-            return False, "rebuilt graph differs from recorded graph6"
-        if g.edge_count() != edges:
-            return False, "recorded edge count is wrong"
-        return True, "construction rebuilt identically"
-    return None, "record carries no verifiable payload"
-
-
 def cmd_verify(args, started: float) -> int:
     if not args.record:
         raise PreconditionError("verify needs --record <path|->")
+    from .check import verify_record
+
     if args.record == "-":
         text = sys.stdin.read()
     else:
@@ -423,7 +305,7 @@ def cmd_verify(args, started: float) -> int:
         except json.JSONDecodeError as exc:
             raise PreconditionError(f"record line {index} is not JSON: {exc}")
         try:
-            verified, detail = _verify_one(obj)
+            verified, detail = verify_record(obj)
         except PreconditionError as exc:
             raise PreconditionError(f"record line {index}: {exc}") from None
         if verified is False:
@@ -576,7 +458,6 @@ def _count(raw: str) -> int:
 
 FLAGS = {
     "--input": {"help": "graph file (graph6 or edge list), - for stdin"},
-    "--output": {"help": "also write the built graph6 to this path"},
     "--record": {"help": "result-record file to re-verify, - for stdin"},
     "--format": {"choices": FORMATS, "default": "json"},
     "--seed": {"type": int},
@@ -591,7 +472,7 @@ FLAGS = {
 COMMANDS = {
     "formula": Command(cmd_formula, ()),
     "table": Command(cmd_table, ("--format", "--verify", "--guard-n")),
-    "construct": Command(cmd_construct, ("--output", "--format", "--verify", "--guard-n")),
+    "construct": Command(cmd_construct, ("--format", "--verify", "--guard-n")),
     "resolve": Command(cmd_resolve, ("--input", "--budget", "--guard-n"), ("p",)),
     "pack": Command(cmd_pack, ("--input", "--guard-n"), ("k", "p"), ("mode",)),
     "verify": Command(cmd_verify, ("--record",), ()),

@@ -16,7 +16,7 @@ from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .graphs import Graph, VertexSet, from_edge_list
 
 if TYPE_CHECKING:  # loaded only by the naive packing search that returns one
-    from .packing import PackingWitness
+    from .check import PackingWitness
 
 DEFAULT_ORACLE_GUARD = 7
 
@@ -219,7 +219,7 @@ def naive_disjoint_independent_sets(g: Graph, k: int, p: int) -> PackingWitness 
     found = pick(0, 0, [])
     if found is None:
         return None
-    from .packing import PackingWitness
+    from .check import PackingWitness
 
     return PackingWitness(tuple(VertexSet(g.n, m) for m in found))
 

@@ -55,35 +55,15 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+# Not called here: perfbench and callers import verify_witness and VerificationReport from packing.
+from .check import (EquitableColoring, PackingWitness, VerificationReport, biclique_violation,
+                    verify_biclique, verify_equitable_coloring, verify_witness)
 from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
 from .graphs import (MAX_EDGE_LIST_N, Graph, VertexSet, bits, clique_union_profile,
-                     complement, components, cross_edge_count)
+                     complement, components)
 
 DEFAULT_GUARD_N = 64
 DEFAULT_EXACT_COLORING_GUARD = 20
-
-
-class PackingWitness(NamedTuple):
-    """k pairwise disjoint vertex sets, independent or cliques per mode."""
-
-    sets: tuple[VertexSet, ...]
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.sets)
-
-
-class VerificationReport(NamedTuple):
-    ok: bool
-    violation: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class EquitableColoring(NamedTuple):
-    """Proper coloring whose class sizes differ by at most one."""
-
-    classes: tuple[VertexSet, ...]
 
 
 class ExactColoringResult(NamedTuple):
@@ -537,51 +517,7 @@ def find_clique_packing(g: Graph, k: int, p: int,
     return find_disjoint_independent_sets(complement(g), k, p, guard_n)
 
 
-def verify_witness(g: Graph, witness: PackingWitness, k: int, p: int,
-                   mode: str = "independent") -> VerificationReport:
-    """Re-check a witness from scratch; reports the first violation."""
-    if mode not in ("independent", "clique"):
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if len(witness.sets) != k:
-        return VerificationReport(False, f"expected {k} sets, got {len(witness.sets)}")
-    seen = 0
-    for i, vs in enumerate(witness.sets):
-        if vs.n != g.n:
-            return VerificationReport(False, f"set {i} bound to n={vs.n}, graph has n={g.n}")
-        if vs.mask & ~g.full_mask():
-            return VerificationReport(False, f"set {i} has vertices outside the graph")
-        if len(vs) != p:
-            return VerificationReport(False, f"set {i} has {len(vs)} vertices, expected {p}")
-        if vs.mask & seen:
-            return VerificationReport(False, f"set {i} overlaps an earlier set")
-        seen |= vs.mask
-        if mode == "independent" and not g.is_independent(vs.mask):
-            return VerificationReport(False, f"set {i} is not independent")
-        if mode == "clique" and not g.is_clique(vs.mask):
-            return VerificationReport(False, f"set {i} is not a clique")
-    return VerificationReport(True)
-
-
 # -- equitable coloring -------------------------------------------------------
-
-
-def verify_equitable_coloring(g: Graph, coloring: EquitableColoring) -> VerificationReport:
-    union = 0
-    sizes = []
-    for i, vs in enumerate(coloring.classes):
-        if vs.n != g.n:
-            return VerificationReport(False, f"class {i} bound to a different graph")
-        if vs.mask & union:
-            return VerificationReport(False, f"class {i} overlaps an earlier class")
-        union |= vs.mask
-        if not g.is_independent(vs.mask):
-            return VerificationReport(False, f"class {i} is not independent")
-        sizes.append(len(vs))
-    if union != g.full_mask():
-        return VerificationReport(False, "classes do not cover every vertex")
-    if sizes and max(sizes) - min(sizes) > 1:
-        return VerificationReport(False, "class sizes differ by more than one")
-    return VerificationReport(True)
 
 
 def _movable_vertex(g: Graph, source_mask: int, target_mask: int) -> int | None:
@@ -681,39 +617,8 @@ def equitable_coloring(g: Graph, num_classes: int) -> EquitableColoring:
     if not _balance_by_shifts(g, classes, limit=2 * g.n + 2):
         classes = _networkx_equitable(g, num_classes)
     coloring = EquitableColoring(tuple(VertexSet(g.n, m) for m in classes))
-    report = verify_equitable_coloring(g, coloring)
-    if not report.ok:
-        raise SoundnessAlarm(f"equitable coloring failed verification: {report.violation}")
+    verify_equitable_coloring(g, coloring).require("equitable coloring failed verification")
     return coloring
-
-
-def biclique_violation(g: Graph, r: int) -> str | None:
-    """Why a K_(r,r) certificate cannot stand for g at r classes, or None:
-    it needs odd r <= 4, max degree <= r and a proper r-coloring, which by
-    Brooks' theorem exists iff no component is K_(r+1)."""
-    if r % 2 == 0 or r > 4:
-        return f"r={r} is not odd and at most 4"
-    if g.max_degree() > r:
-        return f"max degree {g.max_degree()} > r={r}"
-    if any(comp.bit_count() == r + 1 and g.is_clique(comp) for comp in components(g)):
-        return f"a component is K_{r + 1}, so there is no proper {r}-coloring"
-    return None
-
-
-def verify_biclique(g: Graph, sides: Sequence[VertexSet], r: int) -> VerificationReport:
-    """Check a K_(r,r) certificate that g has no equitable r-coloring:
-    `biclique_violation` finds nothing against it, and the sides are two
-    disjoint r-sets joined by all r * r cross edges."""
-    violation = biclique_violation(g, r)
-    if violation is not None:
-        return VerificationReport(False, violation)
-    if len(sides) != 2 or any(len(side) != r for side in sides):
-        return VerificationReport(False, f"biclique is not two sides of {r} vertices")
-    if sides[0].mask & sides[1].mask:
-        return VerificationReport(False, "biclique sides overlap")
-    if cross_edge_count(g, *sides) != r * r:
-        return VerificationReport(False, f"biclique lacks some of its {r * r} cross edges")
-    return VerificationReport(True)
 
 
 def _find_biclique(g: Graph, r: int) -> tuple[VertexSet, VertexSet] | None:
@@ -751,15 +656,11 @@ def equitable_coloring_exact(g: Graph, r: int,
     if classes is not None:
         classes += [0] * (r - len(classes))
         coloring = EquitableColoring(tuple(VertexSet(g.n, m) for m in classes))
-        report = verify_equitable_coloring(g, coloring)
-        if not report.ok:  # pragma: no cover - search output is correct by construction
-            raise SoundnessAlarm(f"exact coloring failed verification: {report.violation}")
+        verify_equitable_coloring(g, coloring).require("exact coloring failed verification")
         return ExactColoringResult(coloring)
     if biclique_violation(g, r) is not None:
         return ExactColoringResult(None)
     sides = _find_biclique(g, r)
     if sides is not None:
-        report = verify_biclique(g, sides, r)
-        if not report.ok:
-            raise SoundnessAlarm(f"biclique certificate failed verification: {report.violation}")
+        verify_biclique(g, sides, r).require("biclique certificate failed verification")
     return ExactColoringResult(None, sides)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from .check import verify_witness
 from .codec import to_graph6
-from .errors import PreconditionError, SizeGuardError, SoundnessAlarm
+from .errors import PreconditionError, SizeGuardError
 from .formulas import binom2, ex_4_cliques, hub_join_edges
 from .constructions import hub_join, rigid_clique_union
 from .graphs import (MAX_EDGE_LIST_N, Graph, complement, from_edge_list,
                      rigid_clique_profile)
-from .packing import find_clique_packing, find_disjoint_independent_sets, verify_witness
+from .packing import find_clique_packing, find_disjoint_independent_sets
 
 SAMPLER_ATTEMPTS = 5000
 
@@ -102,9 +103,7 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
             report.skipped += 1
             continue
         if witness is not None:
-            check = verify_witness(g, witness, k, p, "independent")
-            if not check.ok:
-                raise SoundnessAlarm(f"search returned a bad witness: {check.violation}")
+            verify_witness(g, witness, k, p).require("search returned a bad witness")
             report.witnessed += 1
         elif rigid_clique_profile(g, k, s) is not None:
             report.rigid += 1
@@ -158,6 +157,8 @@ def probe_value_sweep(k: int, p: int, window: int | None = None,
             f"conjecture needs (k-1)p >= k^2-3k+3; p={p} is too small for k={k}")
     if window is None:
         window = p + 2
+    if window < 0:
+        raise PreconditionError(f"window must be 0 or more, got {window}")
     if window > MAX_EDGE_LIST_N:
         raise SizeGuardError(f"probe guard: window={window} > {MAX_EDGE_LIST_N}")
     _guard_largest_host((2 * k - 1) * p - 2 + window)

@@ -13,10 +13,9 @@ from typing import TYPE_CHECKING, Any
 
 from ._version import __version__
 
-if TYPE_CHECKING:  # annotations only; importing them would load the search layers
+if TYPE_CHECKING:  # annotations only; importing them would load the graph layer
     from .graphs import Graph, VertexSet
-    from .packing import EquitableColoring, PackingWitness
-    from .shifting import StructureCertificate
+    from .check import EquitableColoring, PackingWitness, StructureCertificate
 
 RECORD_VERSION = 1
 

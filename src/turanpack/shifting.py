@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
+from .check import PackingWitness, StructureCertificate, verify_certificate, verify_witness
 from .errors import PreconditionError, SoundnessAlarm
 from .graphs import Graph, VertexSet, bits, is_clique_union, rigid_clique_profile
-from .packing import (PackingWitness, VerificationReport, _degree_order, _greedy_fill,
-                      find_disjoint_independent_sets, verify_witness)
+from .packing import _degree_order, _greedy_fill, find_disjoint_independent_sets
 
 CLASS_COUNT = 5
 # Move kinds: a witness move ends the heuristic with four full classes, a
@@ -102,17 +102,6 @@ class AuxDigraph(NamedTuple):
     @property
     def inaccessible(self) -> frozenset[int]:
         return frozenset(range(CLASS_COUNT)) - self.accessible
-
-
-class StructureCertificate(NamedTuple):
-    """The rigid outcome: the host is a union of 7-cliques plus isolated
-    vertices, with the bookkeeping facts re-checked at construction."""
-
-    cliques: tuple[VertexSet, ...]
-    isolated: VertexSet
-    s: int
-    edges: int
-    max_degree: int
 
 
 class Move(NamedTuple):
@@ -349,32 +338,6 @@ def certify_k7_structure(g: Graph, p: int) -> StructureCertificate | None:
     )
 
 
-def verify_certificate(g: Graph, cert: StructureCertificate, p: int) -> VerificationReport:
-    """Re-check a structure certificate from scratch."""
-    s = g.n - (4 * p - 1)
-    if cert.s != s:
-        return VerificationReport(False, f"certificate s={cert.s} but n-(4p-1)={s}")
-    if s % 3 != 0 or len(cert.cliques) != s // 3:
-        return VerificationReport(False, "clique count does not match s/3")
-    union = 0
-    for i, vs in enumerate(cert.cliques):
-        if len(vs) != 7 or not g.is_clique(vs.mask):
-            return VerificationReport(False, f"component {i} is not a 7-clique")
-        if vs.mask & union:
-            return VerificationReport(False, f"component {i} overlaps")
-        union |= vs.mask
-    if union & cert.isolated.mask or (union | cert.isolated.mask) != g.full_mask():
-        return VerificationReport(False, "cliques plus isolated set do not partition")
-    for v in cert.isolated:
-        if g.adj[v]:
-            return VerificationReport(False, f"vertex {v} is not isolated")
-    if cert.edges != g.edge_count() or cert.edges != 7 * s:
-        return VerificationReport(False, "edge count mismatch")
-    if cert.max_degree != g.max_degree() or cert.max_degree > 6:
-        return VerificationReport(False, "max degree mismatch")
-    return VerificationReport(True)
-
-
 # -- driver --------------------------------------------------------------------
 
 
@@ -419,18 +382,14 @@ def resolve(g: Graph, p: int, budget: int | None = None,
         if trace is not None:
             trace.used_exact_fallback = True
     if witness is not None:
-        report = verify_witness(g, witness, 4, p, "independent")
-        if not report.ok:
-            raise SoundnessAlarm(f"engine produced a bad witness: {report.violation}")
+        verify_witness(g, witness, 4, p, "independent").require("engine produced a bad witness")
         return witness
     cert = certify_k7_structure(g, p)
     if cert is None:
         raise SoundnessAlarm(
             "no witness found and host is not the rigid clique union; "
             "this contradicts the engine's dichotomy")
-    report = verify_certificate(g, cert, p)
-    if not report.ok:
-        raise SoundnessAlarm(f"bad structure certificate: {report.violation}")
+    verify_certificate(g, cert, p).require("bad structure certificate")
     return cert
 
 

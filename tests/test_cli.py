@@ -1,6 +1,7 @@
 """Command line surface: record shapes, formats, exit codes, settings."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -105,7 +106,7 @@ def test_table_rejects_tight_pattern(run_cli):
     assert code == 2
 
 
-def test_construct_graph6_and_json(run_cli, tmp_path):
+def test_construct_graph6_and_json(run_cli):
     code, out = run_cli(["construct", "J", "p=3", "s=3", "--format", "graph6"])
     assert code == 0
     assert out.strip() == "M~~~w????????????"
@@ -116,12 +117,6 @@ def test_construct_graph6_and_json(run_cli, tmp_path):
     assert rec["payload"]["n"] == 14
     assert rec["payload"]["edges"] == 21
     assert rec["payload"]["descriptor"]["family"] == "J"
-
-    target = tmp_path / "out.g6"
-    code, _ = run_cli(["construct", "J", "p=3", "s=3", "--format", "graph6",
-                       "--output", str(target)])
-    assert code == 0
-    assert target.read_text() == "M~~~w????????????\n"
 
 
 def test_construct_hub_join_count(run_cli):
@@ -664,9 +659,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
                    for string in action.option_strings} - {"-h", "--help"}
         assert strings == {"--timing", *command.flags}, name
         slots[name] = len(strings)
-    assert slots == {"formula": 1, "table": 4, "construct": 5, "resolve": 4, "pack": 3,
+    assert slots == {"formula": 1, "table": 4, "construct": 4, "resolve": 4, "pack": 3,
                      "verify": 2, "oracle": 2, "probe": 3, "color": 3}
-    assert sum(slots.values()) == 27
+    assert sum(slots.values()) == 26
     refused = []
     for name, command in cli.COMMANDS.items():
         for flag, spec in cli.FLAGS.items():
@@ -683,8 +678,23 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
                     raise AssertionError(f"{name} accepted {flag}")
             assert f"unrecognized arguments: {flag}" in err.getvalue(), (name, flag)
             refused.append(flag)
-    # --record was only ever verify's; the other 46 refusals were accepted before.
-    assert len(refused) - refused.count("--record") == 46
+    # --record was only ever verify's; the other 38 refusals were accepted before.
+    assert len(refused) - refused.count("--record") == 38
+
+
+def test_probe_sweep_refuses_a_negative_window(run_cli):
+    # window=-1 once left out the last middle-branch row (n = 19), and
+    # window=-3 swept no row yet printed "all rows consistent" with exit 0.
+    for window in ("-1", "-3"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(["probe", "5.2", "k=4", "p=3", f"window={window}"])
+        assert code == 2 and out == ""
+        assert err.getvalue() == f"error: window must be 0 or more, got {window}\n"
+    code, out = run_cli(["probe", "5.2", "k=4", "p=3", "window=0"])
+    rows = record_of(out)["payload"]["rows"]
+    assert code == 0 and [(row["n"], row["branch"]) for row in rows] == [
+        (17, "middle"), (18, "middle"), (19, "middle")]
 
 
 def test_probe_sweep_refuses_a_seed(run_cli):
@@ -868,6 +878,53 @@ def test_oracle_and_graph_commands_skip_unused_layers(tmp_path):
         assert not {"shifting", "oracle", "probes"} & loaded, (argv, loaded)
 
 
+# -- the checker stands apart from the searches ---------------------------------
+
+SEARCH_MODULES = {"packing", "shifting", "oracle", "probes"}
+
+
+def test_checker_imports_no_search_module():
+    tree = ast.parse((SRC / "turanpack" / "check.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):  # module level and inside functions alike
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert "graphs.VertexSet" in imported and "constructions.build_family" in imported
+    bad = [name for name in imported if SEARCH_MODULES & set(name.split("."))]
+    assert not bad, bad
+
+
+# One record of each kind verify checks: (command, outcome, argv, stdin).
+CHECKED_RECORDS = [
+    ("pack", "witness", ["pack", "k=2", "p=2", "--input", "-"], C5_TEXT),
+    ("resolve", "witness", ["resolve", "p=3", "--input", "-"], "KO@?@@??D?_?\n"),
+    ("resolve", "certificate", ["resolve", "p=3", "--input", "-"], "M~~~w????????????\n"),
+    ("color", "witness", ["color", "classes=3", "--input", "-"], C5_TEXT),
+    ("color", "certificate", ["color", "classes=3", "exact=1", "--input", "-"], K33_TEXT),
+    ("construct", "value", ["construct", "J", "p=3", "s=3"], None),
+]
+
+
+def test_verify_loads_no_search_module(run_cli, tmp_path):
+    # verify once imported packing, shifting, constructions and formulas to
+    # check any record; now it reads check.py, and constructions only to
+    # rebuild a construct record.
+    for command, outcome, argv, stdin in CHECKED_RECORDS:
+        code, out = run_cli(argv, stdin)
+        rec = record_of(out)
+        assert code == 0 and (rec["command"], rec["outcome"]) == (command, outcome)
+        path = tmp_path / f"{command}-{outcome}.jsonl"
+        path.write_text(out)
+        code, out = run_cli(["verify", "--record", str(path)])
+        assert code == 0 and record_of(out)["payload"]["verified"] is True, out
+        loaded = modules_loaded_by(["verify", "--record", str(path)])
+        assert "check" in loaded and not {"packing", "shifting"} & loaded, (command, loaded)
+        if command != "construct":
+            assert not {"constructions", "formulas"} & loaded, (command, outcome, loaded)
+
+
 PUBLIC_NAMES = [
     "AuxDigraph", "ConstructionDescriptor", "ConstructionRef", "DichotomyProbeReport",
     "EngineTrace", "EquitableColoring", "ExactColoringResult", "FormulaQuery", "Graph",
@@ -875,7 +932,7 @@ PUBLIC_NAMES = [
     "ResultRecord", "SizeGuardError", "SoundnessAlarm", "StructureCertificate",
     "TuranValue", "ValueSweepReport", "ValueSweepRow", "VerificationReport",
     "VertexSet", "accessible_path", "binom2", "build_aux_digraph", "build_family",
-    "build_ref", "certify_k7_structure", "check_preconditions", "claim_holds",
+    "build_ref", "certify_k7_structure", "check", "check_preconditions", "claim_holds",
     "clique_union_profile", "codec", "complement", "complete_graph", "components",
     "constructions", "cross_edge_count", "disjoint_union", "dispatch_formula",
     "empty_graph", "equitable_coloring", "equitable_coloring_exact", "errors",
@@ -919,4 +976,4 @@ print(json.dumps(names))
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 93
+    assert len(PUBLIC_NAMES) == 94

@@ -215,6 +215,8 @@ def verify_record(obj: Any) -> tuple[bool | None, str]:
         else:
             k, mode = param("k", "an integer"), parameters.get("mode", "independent")
         p = param("p", "an integer")
+        if k < 1 or p < 1:  # `pack` refuses these parameters
+            raise PreconditionError("requires k >= 1 and p >= 1")
         report = verify_witness(g, witness, k, p, mode)
         return report.ok, report.violation or "witness checks out"
     if outcome == "certificate" and command == "resolve":
@@ -230,20 +232,20 @@ def verify_record(obj: Any) -> tuple[bool | None, str]:
         )
         report = verify_certificate(g, cert, p)
         return report.ok, report.violation or "certificate checks out"
-    if outcome == "witness" and command == "color":
+    if command == "color" and outcome in ("witness", "certificate"):
         g = parse_graph_text(param("graph6", "a string"))
         classes = param("classes", "an integer")
-        coloring = EquitableColoring(tuple(
-            VertexSet.from_members(g.n, members)
-            for members in recorded("classes", "a list of integer lists")))
-        if len(coloring.classes) != classes:
-            return False, (f"payload has {len(coloring.classes)} classes, "
-                           f"parameters say {classes}")
-        report = verify_equitable_coloring(g, coloring)
-        return report.ok, report.violation or "coloring checks out"
-    if outcome == "certificate" and command == "color":
-        g = parse_graph_text(param("graph6", "a string"))
-        classes = param("classes", "an integer")
+        if classes < 1:  # `color` refuses these parameters
+            raise PreconditionError("need at least one class")
+        if outcome == "witness":
+            coloring = EquitableColoring(tuple(
+                VertexSet.from_members(g.n, members)
+                for members in recorded("classes", "a list of integer lists")))
+            if len(coloring.classes) != classes:
+                return False, (f"payload has {len(coloring.classes)} classes, "
+                               f"parameters say {classes}")
+            report = verify_equitable_coloring(g, coloring)
+            return report.ok, report.violation or "coloring checks out"
         r = recorded("r", "an integer")
         if r != classes:
             return False, f"payload has r={r}, parameters say {classes} classes"

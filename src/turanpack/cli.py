@@ -299,7 +299,9 @@ def cmd_verify(args, started: float) -> int:
         with open(args.record, encoding="utf-8") as handle:
             text = handle.read()
     failures = 0
-    for index, line in enumerate(s for s in text.splitlines() if s.strip()):
+    for index, line in enumerate(text.splitlines()):
+        if not line.strip():
+            continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -373,15 +375,9 @@ def cmd_probe(args, started: float) -> int:
                                  trials=params.get("trials", 200),
                                  seed=seed,
                                  guard_n=args.guard_n)
-        payload = {
-            "k": report.k, "p": report.p, "trials": report.trials,
-            "witnessed": report.witnessed, "rigid": report.rigid,
-            "skipped": report.skipped,
-            "counterexample": report.counterexample,
-            "counterexample_params": report.counterexample_params,
-            "message": ("counterexample found" if report.counterexample
-                        else f"no counterexample in {report.trials} trials"),
-        }
+        payload = {**report._asdict(),
+                   "message": ("counterexample found" if report.counterexample
+                               else f"no counterexample in {report.trials} trials")}
         outcome = "counterexample" if report.counterexample else "none"
         record = ResultRecord("probe", {"which": which, **params}, outcome,
                               payload, seed=seed)
@@ -391,13 +387,9 @@ def cmd_probe(args, started: float) -> int:
         report = probe_value_sweep(params["k"], params["p"],
                                    window=params.get("window"),
                                    guard_n=args.guard_n)
-        payload = {
-            "k": report.k, "p": report.p, "rows": [row._asdict() for row in report.rows],
-            "boundary_consistent": report.boundary_consistent,
-            "matches_four_block_values": report.matches_four_block_values,
-            "message": ("all rows consistent" if report.consistent
-                        else "inconsistent row found"),
-        }
+        payload = {**report._asdict(), "rows": [row._asdict() for row in report.rows],
+                   "message": ("all rows consistent" if report.consistent
+                               else "inconsistent row found")}
         outcome = "none" if report.consistent else "counterexample"
         record = ResultRecord("probe", {"which": which, **params}, outcome, payload)
     emit(record, args, started)

@@ -147,7 +147,9 @@ def ex_3_cliques(n: int, p: int) -> TuranValue:
     if n == 3 * p:
         return ex_tight_k_cliques(3, p)
     if n <= 5 * p - 2:
-        return TuranValue(binom2(n) - 5 * (n - 3 * p + 1), REGIME_CLIQUE_UNION)
+        s = n - 3 * p + 1
+        ref = ConstructionRef("rigid-union", {"k": 3, "p": p, "s": s})
+        return TuranValue(binom2(n) - 5 * s, REGIME_CLIQUE_UNION, ref)
     ref = ConstructionRef("hub-join", {"k": 3, "n": n, "p": p}, complemented=True)
     return TuranValue(1 + 2 * (n - 2) + turan_edges(n - 2, p - 1), REGIME_HUB_JOIN, ref)
 

@@ -15,12 +15,11 @@ from typing import NamedTuple
 
 from .check import verify_witness
 from .codec import to_graph6
+from .constructions import build_ref, claim_holds
 from .errors import PreconditionError, SizeGuardError
-from .formulas import binom2, ex_4_cliques, hub_join_edges
-from .constructions import hub_join, rigid_clique_union
-from .graphs import (MAX_EDGE_LIST_N, Graph, complement, from_edge_list,
-                     rigid_clique_profile)
-from .packing import find_clique_packing, find_disjoint_independent_sets
+from .formulas import ConstructionRef, binom2, ex_4_cliques, hub_join_edges
+from .graphs import MAX_EDGE_LIST_N, Graph, from_edge_list, rigid_clique_profile
+from .packing import find_disjoint_independent_sets
 
 SAMPLER_ATTEMPTS = 5000
 
@@ -62,17 +61,17 @@ def _guard_largest_host(n: int) -> None:
         raise SizeGuardError(f"probe guard: largest host n={n} > {MAX_EDGE_LIST_N}")
 
 
-class DichotomyProbeReport:
-    def __init__(self, k: int, p: int, trials: int, seed: int):
-        self.k = k
-        self.p = p
-        self.trials = trials
-        self.seed = seed
-        self.witnessed = 0
-        self.rigid = 0
-        self.skipped = 0
-        self.counterexample: str | None = None  # graph6
-        self.counterexample_params: dict | None = None
+class DichotomyProbeReport(NamedTuple):
+    """Probe 5.1's counts; its fields are the record payload."""
+
+    k: int
+    p: int
+    trials: int
+    witnessed: int
+    rigid: int
+    skipped: int
+    counterexample: str | None  # graph6
+    counterexample_params: dict | None
 
     @property
     def consistent(self) -> bool:
@@ -91,7 +90,7 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
         raise SizeGuardError(f"probe guard: trials={trials} > {MAX_EDGE_LIST_N}")
     _guard_largest_host((2 * k - 1) * p - 2)
     rng = random.Random(seed)
-    report = DichotomyProbeReport(k=k, p=p, trials=trials, seed=seed)
+    witnessed = rigid = skipped = 0
     for _ in range(trials):
         s = rng.randint(1, (k - 1) * p - 1)
         n = k * p - 1 + s
@@ -100,18 +99,17 @@ def probe_dichotomy(k: int, p: int, trials: int = 200, seed: int = 0,
         try:
             witness = find_disjoint_independent_sets(g, k, p, guard_n=guard_n)
         except SizeGuardError:
-            report.skipped += 1
+            skipped += 1
             continue
         if witness is not None:
             verify_witness(g, witness, k, p).require("search returned a bad witness")
-            report.witnessed += 1
+            witnessed += 1
         elif rigid_clique_profile(g, k, s) is not None:
-            report.rigid += 1
+            rigid += 1
         else:
-            report.counterexample = to_graph6(g)
-            report.counterexample_params = {"n": n, "s": s, "edges": m}
-            break
-    return report
+            return DichotomyProbeReport(k, p, trials, witnessed, rigid, skipped,
+                                        to_graph6(g), {"n": n, "s": s, "edges": m})
+    return DichotomyProbeReport(k, p, trials, witnessed, rigid, skipped, None, None)
 
 
 class ValueSweepRow(NamedTuple):
@@ -127,20 +125,19 @@ class ValueSweepRow(NamedTuple):
         return self.value == self.construction_edges and self.pattern_free
 
 
-class ValueSweepReport:
-    def __init__(self, k: int, p: int):
-        self.k = k
-        self.p = p
-        self.rows: list[ValueSweepRow] = []
-        self.boundary_consistent = True
-        self.matches_four_block_values: bool | None = None  # k = 4 only
+class ValueSweepReport(NamedTuple):
+    """Probe 5.2's rows and seam checks; its fields are the record payload."""
+
+    k: int
+    p: int
+    rows: list[ValueSweepRow]
+    boundary_consistent: bool
+    matches_four_block_values: bool | None  # k = 4 only
 
     @property
     def consistent(self) -> bool:
         ok = all(row.consistent for row in self.rows) and self.boundary_consistent
-        if self.matches_four_block_values is not None:
-            ok = ok and self.matches_four_block_values
-        return ok
+        return ok and self.matches_four_block_values is not False
 
 
 def probe_value_sweep(k: int, p: int, window: int | None = None,
@@ -148,8 +145,8 @@ def probe_value_sweep(k: int, p: int, window: int | None = None,
     """Sweep the conjectured two-branch extremal values for k disjoint
     p-cliques (k >= 4): middle branch C(n,2) - (2k-1)(n-kp+1) realized by
     the complement of the rigid clique union, large branch realized by the
-    hub join. Checks edge counts and pattern freeness; for k = 4 also
-    checks agreement with the proved values."""
+    hub join. Checks each row's construction as `table --verify` does; for
+    k = 4 also checks agreement with the proved values."""
     if p < 3 or k < 4:
         raise PreconditionError("need p >= 3 and k >= 4")
     if (k - 1) * p - k * k + 3 * k - 3 < 0:
@@ -171,29 +168,22 @@ def probe_value_sweep(k: int, p: int, window: int | None = None,
     if total > MAX_EDGE_LIST_N ** 2:
         raise SizeGuardError(
             f"probe guard: sum of n^2 over the sweep's hosts = {total} > {MAX_EDGE_LIST_N}^2")
-    report = ValueSweepReport(k=k, p=p)
-    four_block_ok = True
+    rows = []
     for n in range(first_lo, second_lo + window):
         if n <= first_hi:
-            branch = "middle"
+            branch, construction = "middle", "rigid-union complement"
             value = binom2(n) - (2 * k - 1) * (n - k * p + 1)
-            built = complement(rigid_clique_union(k, p, n - k * p + 1))
-            construction = "rigid-union complement"
+            ref = ConstructionRef("rigid-union", {"k": k, "p": p, "s": n - k * p + 1})
         else:
-            branch = "hub-join"
+            branch, construction = "hub-join", "hub join"
             value = hub_join_edges(k, n, p)
-            built = hub_join(k, n, p)
-            construction = "hub join"
-        packing = find_clique_packing(built, k, p, guard_n=guard_n)
-        row = ValueSweepRow(n=n, branch=branch, value=value,
-                            construction=construction,
-                            construction_edges=built.edge_count(),
-                            pattern_free=packing is None)
-        report.rows.append(row)
-        if k == 4:
-            four_block_ok = four_block_ok and ex_4_cliques(n, p).value == value
+            ref = ConstructionRef("hub-join", {"k": k, "n": n, "p": p}, complemented=True)
+        # Checked as `table --verify` checks a row: edge count, then the claim.
+        built, desc = build_ref(ref)
+        rows.append(ValueSweepRow(n, branch, value, construction, binom2(n) - built.edge_count(),
+                                  claim_holds(built, desc, guard_n=guard_n)))
     # At the last middle-branch point both closed forms agree.
     seam = binom2(first_hi) - (2 * k - 1) * (first_hi - k * p + 1)
-    report.boundary_consistent = seam == hub_join_edges(k, first_hi, p)
-    report.matches_four_block_values = four_block_ok if k == 4 else None
-    return report
+    four_block = (all(ex_4_cliques(row.n, p).value == row.value for row in rows)
+                  if k == 4 else None)
+    return ValueSweepReport(k, p, rows, seam == hub_join_edges(k, first_hi, p), four_block)

@@ -85,6 +85,20 @@ def test_table_verified_column(run_cli):
     assert all(row["verified"] == "" for row in record_of(out)["payload"]["rows"])
 
 
+def test_table_3kp_rows_all_verify(run_cli):
+    # The 3Kp clique-union rows (n = 3p+1..5p-2) once printed no
+    # construction, so --verify left them unchecked.
+    rows = []
+    for p in range(3, 8):
+        code, out = run_cli(["table", "3Kp", f"p={p}", f"n={3 * p}:{5 * p + 2}", "--verify"])
+        assert code == 0
+        rows += record_of(out)["payload"]["rows"]
+    assert len(rows) == 65
+    assert all(row["verified"] == "yes" for row in rows)
+    assert {row["construction"] for row in rows if row["regime"] == "clique-union"} == {
+        "rigid-union"}
+
+
 def test_table_refuses_reversed_range(run_cli):
     # A reversed span once printed an empty table with exit 0.
     for argv, message in [(["n=14:12", "p=3"], "n=14:12 is a reversed range; write 12:14"),
@@ -258,6 +272,46 @@ def test_verify_refuses_malformed_records(run_cli):
     assert code == 2
     assert [json.loads(line)["payload"]["verified"] for line in out.splitlines()] == [True] * 3
     assert stderr.getvalue() == "error: record line 3: not a JSON object\n"
+
+
+def test_verify_refuses_parameters_the_commands_refuse(run_cli):
+    # Each record once verified with exit 0, though `pack` and `color`
+    # refuse its parameters with exit 2.
+    refused = [
+        ({"command": "pack", "outcome": "witness",
+          "parameters": {"graph6": "D?{", "k": 0, "p": 2}, "payload": {"sets": []}},
+         "requires k >= 1 and p >= 1"),
+        ({"command": "pack", "outcome": "witness",
+          "parameters": {"graph6": "D?{", "k": 1, "p": 0}, "payload": {"sets": [[]]}},
+         "requires k >= 1 and p >= 1"),
+        ({"command": "color", "outcome": "witness",
+          "parameters": {"graph6": "?", "classes": 0}, "payload": {"classes": []}},
+         "need at least one class"),
+    ]
+    for record, message in refused:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(["verify", "--record", "-"], stdin=json.dumps(record) + "\n")
+        assert code == 2 and out == "", record
+        assert err.getvalue() == f"error: record line 0: {message}\n"
+    for argv, graph6, message in [(["pack", "k=0", "p=2"], "D?{", "requires k >= 1 and p >= 1"),
+                                  (["color", "classes=0"], "?", "need at least one class")]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli([*argv, "--input", "-"], stdin=graph6 + "\n")
+        assert code == 2 and out == ""
+        assert err.getvalue() == f"error: {message}\n"
+
+
+def test_verify_counts_every_line(run_cli):
+    # Blank lines were once skipped before counting, so this bad record on
+    # the fourth line was reported as line 1.
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["verify", "--record", "-"], stdin='\n\n{"command":"pack"}\n[1]\n')
+    assert code == 2
+    assert record_of(out)["parameters"] == {"line": 2, "source_command": "pack"}
+    assert err.getvalue() == "error: record line 3: not a JSON object\n"
 
 
 def test_verify_checks_set_and_class_counts(run_cli):
@@ -680,6 +734,18 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
             refused.append(flag)
     # --record was only ever verify's; the other 38 refusals were accepted before.
     assert len(refused) - refused.count("--record") == 38
+
+
+def test_probe_payloads_are_their_reports(run_cli):
+    from turanpack import DichotomyProbeReport, ValueSweepReport, ValueSweepRow
+
+    for argv, report in [(["probe", "5.1", "k=4", "p=3", "trials=5"], DichotomyProbeReport),
+                         (["probe", "5.2", "k=4", "p=3"], ValueSweepReport)]:
+        code, out = run_cli(argv)
+        assert code == 0
+        payload = record_of(out)["payload"]
+        assert set(payload) == {*report._fields, "message"}, argv
+    assert all(set(row) == set(ValueSweepRow._fields) for row in payload["rows"])
 
 
 def test_probe_sweep_refuses_a_negative_window(run_cli):

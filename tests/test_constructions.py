@@ -301,7 +301,7 @@ def test_every_formula_reference_builds_and_replays():
         host = k * p if pattern == "kKp-tight" else n
         key = (ref.family, tuple(sorted(ref.params.items())), ref.complemented)
         refs.setdefault(key, (ref, set()))[1].add((host, value.value))
-    assert len(refs) == 816
+    assert len(refs) == 853
     for ref, hits in refs.values():
         built, _ = build_ref(ref)
         for host, value in hits:
@@ -312,3 +312,25 @@ def test_every_formula_reference_builds_and_replays():
         base = complement(built) if ref.complemented else built
         rebuilt, _ = build_family(ref.family, ref.params)
         assert to_graph6(rebuilt) == to_graph6(base), ref
+
+
+def test_value_sweep_checks_rows_with_the_construction_table(monkeypatch):
+    # Probe 5.2 once built and double-complemented its own hosts; its rows
+    # now take the build_ref + claim_holds check that `table --verify` runs.
+    from turanpack import packing, probes
+
+    calls = []
+
+    def counted(g, desc, guard_n=None):
+        calls.append(desc.family)
+        return claim_holds(g, desc, guard_n=guard_n)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("probe 5.2 searched for a clique packing")
+
+    monkeypatch.setattr(probes, "claim_holds", counted)
+    monkeypatch.setattr(packing, "find_clique_packing", refused)
+    report = probes.probe_value_sweep(4, 3)
+    assert report.consistent
+    assert calls == ["rigid-union"] * 3 + ["hub-join"] * 5
+    assert len(report.rows) == len(calls)
